@@ -19,7 +19,7 @@
 //                   arithmetic intensity and achieved GFLOP/s / GB/s for
 //                   the SpGEMM / R-MCL hot-path kernels against ceilings
 //                   probed from this machine (bench/hw_probe.h), write a
-//                   dgc.roofline.v1 JSON document to <path> and exit.
+//                   dgc.roofline.v2 JSON document to <path> and exit.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -40,11 +40,9 @@
 #include "gen/rmat.h"
 #include "util/logging.h"
 #include "linalg/power_iteration.h"
-#include "linalg/reorder.h"
 #include "linalg/spgemm.h"
 #include "linalg/spgemm_tiled.h"
 #include "obs/metrics.h"
-#include "util/simd.h"
 #include "util/timer.h"
 
 // Stand-in dataset scale, settable via --scale= (file-scope so the custom
@@ -335,55 +333,6 @@ BENCHMARK(BM_DegreeDiscountedLiveSink)
     ->DenseRange(0, 3)
     ->Unit(benchmark::kMillisecond);
 
-// SIMD / reorder ablation grid on the Degree-discounted fused path —
-// Args(dataset, simd_level, reorder: 0=none 1=degree 2=rcm). The
-// full-optimization cell (vector, rcm) against the baseline cell (scalar,
-// none) is this PR's acceptance ratio: >= 1.3x CPU time on >= 3 of the 4
-// stand-in datasets. Output is bit-identical across the whole grid (the
-// golden and reorder tests pin that), so the cells are freely comparable.
-void BM_DegreeDiscountedAblation(benchmark::State& state) {
-  const Dataset& d = StandIn(state.range(0));
-  const auto level = state.range(1) == 0 ? simd::Level::kScalar
-                                         : simd::Level::kVector;
-  static const ReorderMethod kReorderGrid[] = {
-      ReorderMethod::kNone, ReorderMethod::kDegree, ReorderMethod::kRcm};
-  SymmetrizationOptions options;
-  options.prune_threshold = 0.05;
-  options.reorder = kReorderGrid[static_cast<size_t>(state.range(2))];
-  simd::SetLevel(level);
-  for (auto _ : state) {
-    auto u = SymmetrizeDegreeDiscounted(d.graph, options);
-    benchmark::DoNotOptimize(u);
-  }
-  simd::SetLevel(simd::Level::kVector);
-  state.SetLabel(d.name + "/" + simd::LevelName(level) + "/" +
-                 std::string(ReorderMethodName(options.reorder)));
-}
-BENCHMARK(BM_DegreeDiscountedAblation)
-    ->ArgsProduct({{0, 1, 2, 3}, {0, 1}, {0, 1, 2}})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_BibliometricAblation(benchmark::State& state) {
-  const Dataset& d = StandIn(state.range(0));
-  const auto level = state.range(1) == 0 ? simd::Level::kScalar
-                                         : simd::Level::kVector;
-  SymmetrizationOptions options;
-  options.prune_threshold = 2.0;
-  options.reorder = state.range(2) == 0 ? ReorderMethod::kNone
-                                        : ReorderMethod::kRcm;
-  simd::SetLevel(level);
-  for (auto _ : state) {
-    auto u = SymmetrizeBibliometric(d.graph, options);
-    benchmark::DoNotOptimize(u);
-  }
-  simd::SetLevel(simd::Level::kVector);
-  state.SetLabel(d.name + "/" + simd::LevelName(level) + "/" +
-                 std::string(ReorderMethodName(options.reorder)));
-}
-BENCHMARK(BM_BibliometricAblation)
-    ->ArgsProduct({{0, 1, 2, 3}, {0, 1}, {0, 1}})
-    ->Unit(benchmark::kMillisecond);
-
 // Tiled vs in-memory fused similarity sum (docs/OUT_OF_CORE.md) on the
 // four stand-in datasets. BM_SymmetricProductSumInMemory is the in-memory
 // oracle (two upper-triangle products + fused merge); the tiled variant
@@ -492,9 +441,9 @@ BENCHMARK(BM_AllPairsSimilarityThreads)
 // is additionally read once and the output written once at 12 bytes per
 // entry — bytes = 12*madds + 12*(nnz_in + nnz_out). Dense-accumulator and
 // marker traffic is deliberately excluded (it is the cache-resident part
-// the reorder optimization targets), so the reported GB/s understates true
-// traffic when the accumulator misses; flops count 2 per multiply-add with
-// scaling multiplies excluded. The models make intensities comparable
+// of the working set), so the reported GB/s understates true traffic when
+// the accumulator misses; flops count 2 per multiply-add with scaling
+// multiplies excluded. The models make intensities comparable
 // across kernels and runs — they are not a hardware counter substitute.
 // ---------------------------------------------------------------------------
 
@@ -653,12 +602,11 @@ int RunRoofline(const std::string& path) {
     return 1;
   }
   char buf[512];
-  out << "{\"schema\":\"dgc.roofline.v1\",\n";
+  out << "{\"schema\":\"dgc.roofline.v2\",\n";
   out << "\"hardware\":" << HwInfoJson(hw) << ",\n";
   std::snprintf(buf, sizeof(buf),
-                "\"dataset_scale\":%.6g,\"simd_level\":\"%s\","
-                "\"build_type\":\"%s\",\n",
-                g_dataset_scale, simd::LevelName(simd::ActiveLevel()),
+                "\"dataset_scale\":%.6g,\"build_type\":\"%s\",\n",
+                g_dataset_scale,
 #ifdef NDEBUG
                 "release"
 #else
@@ -676,11 +624,10 @@ int RunRoofline(const std::string& path) {
         r.cpu_seconds > 0.0 ? r.bytes / r.cpu_seconds / 1e9 : 0.0;
     // The roof at this intensity: bandwidth-limited below the ridge point,
     // compute-limited above it (single-thread kernels measure against the
-    // vector mul+add ceiling — they cannot exceed one core's peak).
+    // one-core mul+add ceiling — they cannot exceed it).
     const double bw_roof = hw.stream_triad_gbps * intensity;
-    const double roof = r.flops > 0.0
-                            ? std::min(bw_roof, hw.vector_mulladd_gflops)
-                            : 0.0;
+    const double roof =
+        r.flops > 0.0 ? std::min(bw_roof, hw.mulladd_gflops) : 0.0;
     std::snprintf(
         buf, sizeof(buf),
         "{\"kernel\":\"%s\",\"dataset\":\"%s\",\"cpu_seconds\":%.6g,"
@@ -691,8 +638,8 @@ int RunRoofline(const std::string& path) {
         intensity, gflops, gbps, roof,
         roof > 0.0 ? 100.0 * gflops / roof : 0.0,
         r.flops <= 0.0 ? "memory"
-        : bw_roof < hw.vector_mulladd_gflops ? "memory"
-                                             : "compute",
+        : bw_roof < hw.mulladd_gflops ? "memory"
+                                      : "compute",
         i + 1 < rows.size() ? "," : "");
     out << buf;
   }
@@ -752,7 +699,6 @@ int main(int argc, char** argv) {
   }
   benchmark::AddCustomContext("dgc_build_type",
                               release_build ? "release" : "debug");
-  benchmark::AddCustomContext("dgc_simd_backend", dgc::simd::BackendName());
   if (!roofline_path.empty()) {
     return dgc::RunRoofline(roofline_path);
   }

@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <vector>
 
-#include "util/simd.h"
 #include "util/timer.h"
 
 namespace dgc {
@@ -26,13 +25,14 @@ double MeasureTriadGbps(int64_t llc_bytes) {
                         int64_t{64} << 20);
   const size_t n = static_cast<size_t>(working_set / (3 * 8));
   std::vector<double> a(n, 0.0), b(n, 1.0), c(n, 2.0);
-  const simd::Level level =
-      simd::VectorSupported() ? simd::Level::kVector : simd::Level::kScalar;
+  // Reading one result back per pass keeps the stores observable.
+  volatile double sink = 0.0;
   double best = 0.0;
   for (int pass = 0; pass < 3; ++pass) {
     WallTimer timer;
-    simd::Triad(a.data(), b.data(), c.data(), 3.0, n, level);
+    for (size_t i = 0; i < n; ++i) a[i] = b[i] + 3.0 * c[i];
     const double seconds = timer.ElapsedSeconds();
+    sink = sink + a[n / 2];
     if (seconds > 0.0) {
       best = std::max(best, static_cast<double>(n) * 24.0 / seconds / 1e9);
     }
@@ -42,7 +42,7 @@ double MeasureTriadGbps(int64_t llc_bytes) {
 
 /// Mul+add GFLOP/s over an L1-resident buffer (2 flops per element per
 /// pass). Iteration count is calibrated so the timed run lasts ~50 ms.
-double MeasureMulAddGflops(simd::Level level) {
+double MeasureMulAddGflops() {
   const size_t n = 4096;  // 32 KiB: L1-resident on anything current
   std::vector<double> x(n, 1.0);
   int iters = 2000;
@@ -50,7 +50,10 @@ double MeasureMulAddGflops(simd::Level level) {
   for (int attempt = 0; attempt < 12; ++attempt) {
     std::fill(x.begin(), x.end(), 1.0);
     WallTimer timer;
-    sink += simd::MulAddThroughput(x.data(), n, iters, 1.0000001, 1e-9, level);
+    for (int it = 0; it < iters; ++it) {
+      for (size_t i = 0; i < n; ++i) x[i] = x[i] * 1.0000001 + 1e-9;
+    }
+    sink += x[0] + x[n / 2];
     const double seconds = timer.ElapsedSeconds();
     if (seconds >= 0.05) {
       const double gflops = 2.0 * static_cast<double>(n) *
@@ -98,12 +101,8 @@ HwInfo ProbeHardware() {
     info.cacheline_bytes = line;
   }
 #endif
-  info.simd_backend = simd::BackendName();
   info.stream_triad_gbps = MeasureTriadGbps(info.l3_bytes);
-  info.scalar_mulladd_gflops = MeasureMulAddGflops(simd::Level::kScalar);
-  info.vector_mulladd_gflops =
-      simd::VectorSupported() ? MeasureMulAddGflops(simd::Level::kVector)
-                              : info.scalar_mulladd_gflops;
+  info.mulladd_gflops = MeasureMulAddGflops();
   return info;
 }
 
@@ -114,11 +113,8 @@ std::string HwInfoJson(const HwInfo& info) {
   AppendField(&out, "l2_bytes", info.l2_bytes, true);
   AppendField(&out, "l3_bytes", info.l3_bytes, true);
   AppendField(&out, "cacheline_bytes", info.cacheline_bytes, true);
-  out += "\"simd_backend\":\"" + info.simd_backend + "\",";
   AppendField(&out, "stream_triad_gbps", info.stream_triad_gbps, true);
-  AppendField(&out, "scalar_mulladd_gflops", info.scalar_mulladd_gflops, true);
-  AppendField(&out, "vector_mulladd_gflops", info.vector_mulladd_gflops,
-              false);
+  AppendField(&out, "mulladd_gflops", info.mulladd_gflops, false);
   out += "}";
   return out;
 }

@@ -1,7 +1,7 @@
 // Hardware probe for the roofline mode of bench_kernels: cache geometry
 // from sysconf plus *measured* machine ceilings — sustained memory
-// bandwidth (STREAM triad) and mul+add throughput at both dispatch levels.
-// The ceilings are measured with the same simd primitives the kernels use
+// bandwidth (STREAM triad) and mul+add throughput. The ceilings are
+// measured with plain loops compiled under the same flags as the kernels
 // (no FMA), so a kernel sitting on the roof is genuinely at the limit this
 // code can reach, not at a theoretical peak it was never going to hit.
 #pragma once
@@ -20,22 +20,18 @@ struct HwInfo {
   int64_t l3_bytes = 0;
   /// Data-cache line size in bytes (64 assumed when unreported).
   int64_t cacheline_bytes = 64;
-  /// Best vector backend this binary can run here: "avx2"/"neon"/"scalar".
-  std::string simd_backend;
   /// Sustained STREAM-triad bandwidth, GB/s (best of several passes over a
   /// working set several times the last-level cache).
   double stream_triad_gbps = 0.0;
-  /// Mul+add throughput over an L1-resident buffer, GFLOP/s, at the scalar
-  /// and vector dispatch levels (equal when no vector backend exists).
-  double scalar_mulladd_gflops = 0.0;
-  double vector_mulladd_gflops = 0.0;
+  /// Mul+add throughput over an L1-resident buffer, GFLOP/s.
+  double mulladd_gflops = 0.0;
 };
 
 /// Probes the machine. The bandwidth/compute measurements take a few
 /// hundred milliseconds total.
 HwInfo ProbeHardware();
 
-/// The probe as a JSON object (the "hardware" field of dgc.roofline.v1).
+/// The probe as a JSON object (the "hardware" field of dgc.roofline.v2).
 std::string HwInfoJson(const HwInfo& info);
 
 }  // namespace dgc

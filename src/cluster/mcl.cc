@@ -10,7 +10,6 @@
 #include "obs/span.h"
 #include "util/logging.h"
 #include "util/parallel_audit.h"
-#include "util/simd.h"
 #include "util/thread_pool.h"
 
 namespace dgc {
@@ -24,9 +23,7 @@ namespace {
 /// never O(t log t) on the (possibly dense) expanded row.
 void InflatePruneRow(Index row, std::vector<Index>& cols,
                      std::vector<Scalar>& vals, const RmclOptions& options,
-                     std::vector<std::pair<Scalar, Index>>& scratch,
-                     std::vector<Scalar>& prune_vals,
-                     std::vector<uint8_t>& prune_mask) {
+                     std::vector<std::pair<Scalar, Index>>& scratch) {
   if (cols.empty()) return;
   scratch.clear();
   for (size_t i = 0; i < cols.size(); ++i) {
@@ -67,20 +64,12 @@ void InflatePruneRow(Index row, std::vector<Index>& cols,
     return;
   }
   // Drop normalized entries below the prune threshold, keeping at least
-  // the largest so the row never empties. The division+compare scan is the
-  // vectorized primitive (lane-wise IEEE division — bit-identical
-  // decisions); best-tracking and compaction stay scalar.
-  const size_t t = scratch.size();
-  prune_vals.resize(t);
-  prune_mask.resize(t);
-  for (size_t i = 0; i < t; ++i) prune_vals[i] = scratch[i].first;
-  simd::DivThresholdMask(prune_vals.data(), t, sum, options.prune_threshold,
-                         prune_mask.data());
+  // the largest so the row never empties.
   size_t out = 0;
   size_t best = 0;
-  for (size_t i = 0; i < t; ++i) {
+  for (size_t i = 0; i < scratch.size(); ++i) {
     if (scratch[i].first > scratch[best].first) best = i;
-    if (prune_mask[i]) continue;
+    if (scratch[i].first / sum < options.prune_threshold) continue;
     scratch[out++] = scratch[i];
   }
   if (out == 0) {
@@ -108,15 +97,12 @@ void InflatePruneRow(Index row, std::vector<Index>& cols,
 struct RmclWorkspace {
   std::vector<Scalar> accum;
   std::vector<int64_t> marker;
-  /// Fixed-size first-touch buffer for the expansion (filled through
-  /// simd::ScatterAccumulate64, which preserves insertion order — the
-  /// nth_element cap in InflatePruneRow tie-breaks on it).
+  /// Fixed-size first-touch buffer for the expansion, in insertion order
+  /// (the nth_element cap in InflatePruneRow tie-breaks on it).
   std::vector<Index> touched;
   std::vector<Index> row_cols;
   std::vector<Scalar> row_vals;
   std::vector<std::pair<Scalar, Index>> scratch;
-  std::vector<Scalar> prune_vals;    ///< SoA values for the prune scan
-  std::vector<uint8_t> prune_mask;   ///< its below-threshold verdicts
   std::vector<Index> rows;   ///< rows buffered by this worker this iteration
   std::vector<Index> cols;   ///< their column indices, concatenated
   std::vector<Scalar> vals;  ///< their values, concatenated
@@ -290,20 +276,26 @@ Result<CsrMatrix> RmclIterate(CsrMatrix m, const CsrMatrix& mg,
           for (int64_t r64 = lo; r64 < hi; ++r64) {
             const Index r = static_cast<Index>(r64);
             const int64_t stamp = stamp_base + r;
-            // Expansion: row r of M * right, via the vectorized
-            // scatter-accumulate (per-lane IEEE mul+add, bit-identical to
-            // the scalar loop; first-touch order preserved).
+            // Expansion: row r of M * right.
+            Scalar* accum = w.accum.data();
+            int64_t* marker = w.marker.data();
+            Index* touched = w.touched.data();
             Index touched_count = 0;
             auto mcols = m.RowCols(r);
             auto mvals = m.RowValues(r);
             for (size_t i = 0; i < mcols.size(); ++i) {
-              const Index k = mcols[i];
-              auto rcols = right.RowCols(k);
-              auto rvals = right.RowValues(k);
-              touched_count += simd::ScatterAccumulate64(
-                  mvals[i], rcols.data(), rvals.data(), rcols.size(),
-                  w.accum.data(), w.marker.data(), stamp,
-                  w.touched.data() + touched_count);
+              const Scalar mv = mvals[i];
+              auto rcols = right.RowCols(mcols[i]);
+              auto rvals = right.RowValues(mcols[i]);
+              for (size_t j = 0; j < rcols.size(); ++j) {
+                const Index c = rcols[j];
+                if (marker[c] != stamp) {
+                  marker[c] = stamp;
+                  accum[c] = 0.0;
+                  touched[touched_count++] = c;
+                }
+                accum[c] += mv * rvals[j];
+              }
             }
             if (options.metrics != nullptr) {
               expanded[static_cast<size_t>(worker)] +=
@@ -312,11 +304,10 @@ Result<CsrMatrix> RmclIterate(CsrMatrix m, const CsrMatrix& mg,
             w.row_cols.assign(w.touched.begin(),
                               w.touched.begin() + touched_count);
             w.row_vals.resize(static_cast<size_t>(touched_count));
-            simd::Gather(w.accum.data(), w.touched.data(),
-                         static_cast<size_t>(touched_count),
-                         w.row_vals.data());
-            InflatePruneRow(r, w.row_cols, w.row_vals, options, w.scratch,
-                            w.prune_vals, w.prune_mask);
+            for (Index i = 0; i < touched_count; ++i) {
+              w.row_vals[static_cast<size_t>(i)] = accum[touched[i]];
+            }
+            InflatePruneRow(r, w.row_cols, w.row_vals, options, w.scratch);
             // L1 change of this row versus the previous flow (sorted
             // merge).
             {

@@ -29,9 +29,6 @@ PipelineOptions ResolveOverrides(const PipelineOptions& options) {
     resolved.symmetrization.num_threads = options.num_threads;
     resolved.mlr_mcl.rmcl.num_threads = options.num_threads;
   }
-  if (options.reorder != ReorderMethod::kNone) {
-    resolved.symmetrization.reorder = options.reorder;
-  }
   if (options.metrics != nullptr) {
     resolved.symmetrization.metrics = options.metrics;
     resolved.mlr_mcl.metrics = options.metrics;

@@ -37,12 +37,6 @@ struct PipelineOptions {
   MlrMclOptions mlr_mcl;
   MetisOptions metis;
   GraclusOptions graclus;
-  /// Row reordering for the similarity products (linalg/reorder.h). When
-  /// != kNone it overrides symmetrization.reorder, mirroring num_threads.
-  /// The permutation lives entirely inside the similarity products — it is
-  /// undone before the two product triangles are summed — so the pipeline
-  /// output is bit-identical for every setting (the golden tests pin this).
-  ReorderMethod reorder = ReorderMethod::kNone;
   /// Convenience thread count for the whole pipeline. When != 1 it
   /// overrides symmetrization.num_threads and mlr_mcl.rmcl.num_threads
   /// (0 = one thread per hardware core). The default 1 leaves the

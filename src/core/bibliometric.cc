@@ -1,9 +1,6 @@
 #include "core/symmetrize.h"
 
-#include <vector>
-
 #include "core/out_of_core.h"
-#include "linalg/reorder.h"
 #include "linalg/spgemm.h"
 #include "linalg/spgemm_tiled.h"
 #include "obs/span.h"
@@ -46,36 +43,17 @@ Result<CsrMatrix> BibliometricFused(const CsrMatrix& a,
     transpose_span.Metric("nnz", at.nnz());
   }
   // Out-of-core: budget-driven (or forced) tiled execution of both
-  // triangles + the fused sum, bit-identical to the in-memory branch;
-  // `reorder` is skipped when tiling engages (docs/OUT_OF_CORE.md).
+  // triangles + the fused sum, bit-identical to the in-memory branch
+  // (docs/OUT_OF_CORE.md).
   if (core_internal::ShouldTileSimilarity(a, at, options)) {
     return TiledSymmetricProductSum(
         a, at, {}, {}, {}, {},
         core_internal::MakeTiledSimilarityOptions(options));
   }
-  CsrMatrix coupling_upper;
-  CsrMatrix cocitation_upper;
-  if (options.reorder != ReorderMethod::kNone) {
-    // Row-permuted products for accumulator locality, un-permuted before
-    // the sum; bit-identical to the direct path (linalg/reorder.h).
-    std::vector<Index> perm;
-    {
-      StageSpan reorder_span(options.metrics, "reorder");
-      reorder_span.Metric("method", ReorderMethodName(options.reorder));
-      perm = BuildReorderPermutation(options.reorder, a, at);
-    }
-    DGC_ASSIGN_OR_RETURN(
-        coupling_upper,
-        SpGemmAAtSymmetricReordered(a, {}, {}, product_options, perm));
-    DGC_ASSIGN_OR_RETURN(
-        cocitation_upper,
-        SpGemmAAtSymmetricReordered(at, {}, {}, product_options, perm));
-  } else {
-    DGC_ASSIGN_OR_RETURN(coupling_upper,
-                         SpGemmAAtSymmetric(a, {}, {}, product_options, &at));
-    DGC_ASSIGN_OR_RETURN(cocitation_upper,
-                         SpGemmAAtSymmetric(at, {}, {}, product_options, &a));
-  }
+  DGC_ASSIGN_OR_RETURN(CsrMatrix coupling_upper,
+                       SpGemmAAtSymmetric(a, {}, {}, product_options, &at));
+  DGC_ASSIGN_OR_RETURN(CsrMatrix cocitation_upper,
+                       SpGemmAAtSymmetric(at, {}, {}, product_options, &a));
   SpGemmOptions sum_options;
   sum_options.threshold = options.prune_threshold;
   sum_options.drop_diagonal = true;

@@ -3,7 +3,6 @@
 
 #include "core/out_of_core.h"
 #include "core/symmetrize.h"
-#include "linalg/reorder.h"
 #include "linalg/spgemm.h"
 #include "linalg/spgemm_tiled.h"
 #include "linalg/vector_ops.h"
@@ -71,8 +70,7 @@ Result<CsrMatrix> DegreeDiscountedFused(const Digraph& g,
   // Out-of-core: when the budget (or kForce) asks for it, the whole
   // product-sum runs tiled with a disk spool. Tiles reuse the per-row
   // kernels below with unchanged inner k-order, so the result is
-  // bit-identical to the in-memory branch; `reorder` is skipped (tiling
-  // already restructures locality).
+  // bit-identical to the in-memory branch.
   if (core_internal::ShouldTileSimilarity(a, at, options)) {
     return TiledSymmetricProductSum(
         a, at, so, sqrt_si, si, sqrt_so,
@@ -89,31 +87,13 @@ Result<CsrMatrix> DegreeDiscountedFused(const Digraph& g,
   // Upper triangles of B_d (out-link similarity, factor (a·so_i)·√si_k) and
   // C_d (in-link similarity, factor (aᵀ·si_i)·√so_k) — the same per-entry
   // multiplication order BuildSimilarityFactors bakes into M and N, so both
-  // triangles are bit-identical to the reference products. With reorder
-  // enabled both products run on row-permuted factors for accumulator
-  // locality and are un-permuted before the sum (linalg/reorder.h keeps the
-  // values bit-identical either way).
-  CsrMatrix bd_upper;
-  CsrMatrix cd_upper;
-  if (options.reorder != ReorderMethod::kNone) {
-    std::vector<Index> perm;
-    {
-      StageSpan reorder_span(options.metrics, "reorder");
-      reorder_span.Metric("method", ReorderMethodName(options.reorder));
-      perm = BuildReorderPermutation(options.reorder, a, at);
-    }
-    DGC_ASSIGN_OR_RETURN(
-        bd_upper,
-        SpGemmAAtSymmetricReordered(a, so, sqrt_si, product_options, perm));
-    DGC_ASSIGN_OR_RETURN(
-        cd_upper,
-        SpGemmAAtSymmetricReordered(at, si, sqrt_so, product_options, perm));
-  } else {
-    DGC_ASSIGN_OR_RETURN(
-        bd_upper, SpGemmAAtSymmetric(a, so, sqrt_si, product_options, &at));
-    DGC_ASSIGN_OR_RETURN(
-        cd_upper, SpGemmAAtSymmetric(at, si, sqrt_so, product_options, &a));
-  }
+  // triangles are bit-identical to the reference products.
+  DGC_ASSIGN_OR_RETURN(
+      CsrMatrix bd_upper,
+      SpGemmAAtSymmetric(a, so, sqrt_si, product_options, &at));
+  DGC_ASSIGN_OR_RETURN(
+      CsrMatrix cd_upper,
+      SpGemmAAtSymmetric(at, si, sqrt_so, product_options, &a));
 
   SpGemmOptions sum_options;
   sum_options.threshold = options.prune_threshold;

@@ -19,7 +19,6 @@
 #include "graph/digraph.h"
 #include "graph/ugraph.h"
 #include "linalg/power_iteration.h"
-#include "linalg/reorder.h"
 #include "util/budget.h"
 #include "util/result.h"
 
@@ -116,13 +115,6 @@ struct SymmetrizationOptions {
   /// graphs; kReference exists as the test oracle and for perf comparison.
   SimilarityEngine engine = SimilarityEngine::kFused;
 
-  /// Optional row reordering of the similarity products for accumulator
-  /// locality (linalg/reorder.h). Applies to the fused engine of the
-  /// similarity-based methods only; the permutation is undone before the
-  /// products are summed, so the symmetrized graph is bit-identical for
-  /// every setting (the golden tests pin this).
-  ReorderMethod reorder = ReorderMethod::kNone;
-
   /// Optional observability sink (obs/metrics.h). When non-null each
   /// symmetrization records a stage span with input/output nnz, the prune
   /// threshold, pruned-entry counts and the engine used; when null — the
@@ -139,9 +131,8 @@ struct SymmetrizationOptions {
 
   /// Out-of-core control for the fused similarity products (Bibliometric
   /// and Degree-discounted). See OutOfCoreMode; kAuto + a budget degrades
-  /// to tiling instead of aborting. When the tiled path engages, `reorder`
-  /// is skipped (tiling already restructures locality; the output is
-  /// bit-identical either way).
+  /// to tiling instead of aborting. The output is bit-identical either
+  /// way.
   OutOfCoreMode out_of_core = OutOfCoreMode::kAuto;
   /// Directory for spill files (empty = system temp directory).
   std::string spill_dir;

@@ -83,12 +83,11 @@ Result<IncrementalSymmetrizer> IncrementalSymmetrizer::Create(
   s.method_ = method;
   // Normalize to the plain fused in-memory path; every engine is
   // bit-identical (the determinism contract), so the maintained result
-  // still matches a from-scratch run under any engine/reorder/tiling
-  // setting. metrics/cancel are per-call concerns that must not outlive a
-  // request into this long-lived object.
+  // still matches a from-scratch run under any engine/tiling setting.
+  // metrics/cancel are per-call concerns that must not outlive a request
+  // into this long-lived object.
   s.options_ = options;
   s.options_.engine = SimilarityEngine::kFused;
-  s.options_.reorder = ReorderMethod::kNone;
   s.options_.out_of_core = OutOfCoreMode::kOff;
   s.options_.metrics = nullptr;
   s.options_.cancel = nullptr;

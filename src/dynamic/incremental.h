@@ -50,7 +50,7 @@ struct IncrementalStats {
 ///                 can change: honest full recompute (rows_recomputed = n).
 ///
 /// The stored options are normalized to the plain fused in-memory path
-/// (engine kFused, reorder kNone, out_of_core kOff) — all engines are
+/// (engine kFused, out_of_core kOff) — all engines are
 /// bit-identical by the determinism contract, so the maintained result
 /// still matches a from-scratch run under the caller's original settings.
 /// metrics/cancel are dropped: updates are row-sparse and short-lived, and

@@ -458,15 +458,16 @@ Result<CsrMatrix> MirrorUpperTriangle(const CsrMatrix& upper,
     }
   });
   // strict[r] = total mirrored (strict-lower) entries landing in row r.
-  // Reduced block-by-block over contiguous index chunks (vectorized int64
-  // adds; integer addition commutes exactly, so the totals are identical
-  // to any other reduction order).
+  // Reduced block-by-block over contiguous index chunks (integer addition
+  // commutes exactly, so the totals are identical to any other reduction
+  // order).
   std::vector<Offset> strict(static_cast<size_t>(n), 0);
   ParallelForChunked(0, n, threads, [&](int64_t lo, int64_t hi) {
     for (int b = 0; b < blocks; ++b) {
-      simd::AddI64(strict.data() + lo,
-                   cursor.data() + static_cast<int64_t>(b) * n + lo,
-                   static_cast<size_t>(hi - lo));
+      const Offset* counts = cursor.data() + static_cast<int64_t>(b) * n;
+      for (int64_t c = lo; c < hi; ++c) {
+        strict[static_cast<size_t>(c)] += counts[c];
+      }
     }
   });
   std::vector<Offset> row_ptr(static_cast<size_t>(n) + 1, 0);

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "linalg/csr_matrix.h"
@@ -21,7 +22,6 @@
 #include "util/budget.h"
 #include "util/parallel_audit.h"
 #include "util/radix.h"
-#include "util/simd.h"
 #include "util/thread_pool.h"
 
 namespace dgc {
@@ -35,8 +35,8 @@ struct SpGemmWorkspace {
   std::vector<Scalar> accum;
   std::vector<Index> marker;
   /// First-touch column list of the current row. Fixed-size buffer (every
-  /// column is touched at most once per row) filled through the
-  /// simd::ScatterAccumulate primitives; `touched_count` is its length.
+  /// column is touched at most once per row); `touched_count` is its
+  /// length.
   std::vector<Index> touched;
   std::vector<Index> sort_scratch;  ///< radix-sort ping-pong buffer
   Index touched_count = 0;
@@ -89,12 +89,24 @@ inline void EmitRow(Index row, const SpGemmOptions& options,
   const size_t before = w.cols.size();
   w.cols.resize(before + count);
   w.vals.resize(before + count);
-  const size_t kept = simd::GatherPrune(
-      w.touched.data(), count, w.accum.data(), options.threshold,
-      options.drop_diagonal, row, w.cols.data() + before,
-      w.vals.data() + before, &w.dropped);
-  w.cols.resize(before + kept);
-  w.vals.resize(before + kept);
+  // Only threshold drops are counted; NaN compares false and is kept.
+  size_t out = before;
+  int64_t dropped = 0;
+  for (size_t p = 0; p < count; ++p) {
+    const Index c = w.touched[p];
+    const Scalar v = w.accum[static_cast<size_t>(c)];
+    if (std::abs(v) < options.threshold) {
+      ++dropped;
+      continue;
+    }
+    if (options.drop_diagonal && c == row) continue;
+    w.cols[out] = c;
+    w.vals[out] = v;
+    ++out;
+  }
+  w.dropped += dropped;
+  w.cols.resize(out);
+  w.vals.resize(out);
 }
 
 /// Computes one output row of C = A * B, appending the surviving entries to
@@ -102,18 +114,27 @@ inline void EmitRow(Index row, const SpGemmOptions& options,
 /// touched for the current row.
 inline void ComputeRow(const CsrMatrix& a, const CsrMatrix& b, Index row,
                        const SpGemmOptions& options, SpGemmWorkspace& w) {
-  w.touched_count = 0;
+  Scalar* accum = w.accum.data();
+  Index* marker = w.marker.data();
+  Index* touched = w.touched.data();
+  Index count = 0;
   auto a_cols = a.RowCols(row);
   auto a_vals = a.RowValues(row);
   for (size_t i = 0; i < a_cols.size(); ++i) {
-    const Index k = a_cols[i];
-    auto b_cols = b.RowCols(k);
-    auto b_vals = b.RowValues(k);
-    w.touched_count += simd::ScatterAccumulate(
-        a_vals[i], b_cols.data(), b_vals.data(), b_cols.size(),
-        w.accum.data(), w.marker.data(), row,
-        w.touched.data() + w.touched_count);
+    const Scalar av = a_vals[i];
+    auto b_cols = b.RowCols(a_cols[i]);
+    auto b_vals = b.RowValues(a_cols[i]);
+    for (size_t p = 0; p < b_cols.size(); ++p) {
+      const Index c = b_cols[p];
+      if (marker[c] != row) {
+        marker[c] = row;
+        accum[c] = 0.0;
+        touched[count++] = c;
+      }
+      accum[c] += av * b_vals[p];
+    }
   }
+  w.touched_count = count;
   EmitRow(row, options, w);
 }
 
@@ -129,12 +150,14 @@ inline void ComputeUpperRow(const CsrMatrix& a, const CsrMatrix& at,
                             std::span<const Scalar> col_scale, Index row,
                             const SpGemmOptions& options,
                             SpGemmWorkspace& w) {
-  w.touched_count = 0;
+  Scalar* accum = w.accum.data();
+  Index* marker = w.marker.data();
+  Index* touched = w.touched.data();
+  Index count = 0;
   auto a_cols = a.RowCols(row);
   auto a_vals = a.RowValues(row);
   const bool has_row_scale = !row_scale.empty();
   const bool has_col_scale = !col_scale.empty();
-  const Scalar* rs = has_row_scale ? row_scale.data() : nullptr;
   const Scalar ri =
       has_row_scale ? row_scale[static_cast<size_t>(row)] : 1.0;
   for (size_t i = 0; i < a_cols.size(); ++i) {
@@ -148,16 +171,25 @@ inline void ComputeUpperRow(const CsrMatrix& a, const CsrMatrix& at,
     auto t_vals = at.RowValues(k);
     // Only candidates j >= row contribute to the upper triangle; the lower
     // triangle is recovered by mirroring. Columns are sorted, so the first
-    // eligible candidate is found by binary search. The primitive evaluates
-    // bv = (t_vals[q] * row_scale[j]) * ck and accum[j] += av * bv — the
+    // eligible candidate is found by binary search. Each term evaluates
+    // bv = (t_vals[p] * row_scale[j]) * ck and accum[j] += av * bv — the
     // same multiply order as the reference ScaleRows/ScaleCols path.
     const size_t q = static_cast<size_t>(
         std::lower_bound(t_cols.begin(), t_cols.end(), row) - t_cols.begin());
-    w.touched_count += simd::ScatterAccumulateScaled(
-        av, rs, has_col_scale, ck, t_cols.data() + q, t_vals.data() + q,
-        t_cols.size() - q, w.accum.data(), w.marker.data(), row,
-        w.touched.data() + w.touched_count);
+    for (size_t p = q; p < t_cols.size(); ++p) {
+      const Index j = t_cols[p];
+      Scalar bv = t_vals[p];
+      if (has_row_scale) bv *= row_scale[static_cast<size_t>(j)];
+      if (has_col_scale) bv *= ck;
+      if (marker[j] != row) {
+        marker[j] = row;
+        accum[j] = 0.0;
+        touched[count++] = j;
+      }
+      accum[j] += av * bv;
+    }
   }
+  w.touched_count = count;
   EmitRow(row, options, w);
 }
 

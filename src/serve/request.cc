@@ -204,12 +204,6 @@ Result<ServeRequest> ParseServeRequest(std::string_view line,
       if (req.threshold < 0.0) return FieldError(key, "must be >= 0");
     } else if (key == "self_loops") {
       DGC_RETURN_IF_ERROR(ExpectBool(key, value, &req.self_loops));
-    } else if (key == "reorder") {
-      std::string name;
-      DGC_RETURN_IF_ERROR(ExpectString(key, value, &name));
-      Result<ReorderMethod> r = ParseReorderMethod(name);
-      if (!r.ok()) return FieldError(key, r.status().message());
-      req.reorder = *r;
     } else if (key == "algorithm") {
       std::string name;
       DGC_RETURN_IF_ERROR(ExpectString(key, value, &name));
@@ -274,7 +268,6 @@ PipelineOptions PipelineOptionsForRequest(const ServeRequest& req) {
   options.symmetrization.in_discount = DiscountSpec::Power(req.beta);
   options.symmetrization.prune_threshold = req.threshold;
   options.symmetrization.add_self_loops = req.self_loops;
-  options.reorder = req.reorder;
   options.algorithm = req.algorithm;
   options.mlr_mcl.rmcl.inflation = req.inflation;
   options.metis.k = req.clusters;
@@ -307,8 +300,6 @@ std::string CacheKeyForRequest(const ServeRequest& req, uint64_t graph_hash) {
   AppendDouble(&key, req.threshold);
   key += ";sl=";
   key += req.self_loops ? '1' : '0';
-  key += ";r=";
-  key += ReorderMethodName(req.reorder);
   return key;
 }
 

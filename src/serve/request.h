@@ -79,7 +79,6 @@ struct ServeRequest {
   double beta = 0.5;   ///< in-degree discount exponent (degree-discounted)
   double threshold = 0.0;  ///< prune threshold (Section 3.5)
   bool self_loops = false;
-  ReorderMethod reorder = ReorderMethod::kNone;
 
   // --- stage 2: clustering (not in the cache key) ---
   ClusterAlgorithm algorithm = ClusterAlgorithm::kMlrMcl;

@@ -139,53 +139,6 @@ TEST_P(GoldenPipelineTest, LabelsAndReportMatchGoldenAtEveryThreadCount) {
   }
 }
 
-// Reorder-enabled runs of the similarity-based methods must reproduce the
-// same byte-pinned goldens as the reorder-off runs: the row permutation
-// lives entirely inside the similarity products and is undone before the
-// product sum, so clustering output is bit-identical (linalg/reorder.h
-// contract). Verified against the committed artifact AND the reorder-off
-// symmetrized matrix, entry for entry.
-TEST_P(GoldenPipelineTest, ReorderedRunsMatchTheSameGoldens) {
-  const SymmetrizationMethod method = GetParam();
-  if (method != SymmetrizationMethod::kBibliometric &&
-      method != SymmetrizationMethod::kDegreeDiscounted) {
-    GTEST_SKIP() << "reorder applies to the similarity products only";
-  }
-  auto graph = ReadEdgeList(kFixture);
-  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
-  const std::string slug = MethodSlug(method);
-
-  PipelineOptions base;
-  base.method = method;
-  base.algorithm = ClusterAlgorithm::kMlrMcl;
-  base.symmetrization.prune_threshold = 0.001;
-  base.mlr_mcl.rmcl.max_iterations = 12;
-  auto baseline = SymmetrizeAndCluster(*graph, base);
-  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-
-  for (ReorderMethod reorder : {ReorderMethod::kDegree, ReorderMethod::kRcm}) {
-    SCOPED_TRACE(ReorderMethodName(reorder));
-    PipelineOptions options = base;
-    options.reorder = reorder;
-    auto result = SymmetrizeAndCluster(*graph, options);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    CheckGolden(slug + ".labels.txt", LabelsToString(result->clustering));
-    const CsrMatrix& expected = baseline->symmetrized.adjacency();
-    const CsrMatrix& actual = result->symmetrized.adjacency();
-    ASSERT_EQ(actual.nnz(), expected.nnz());
-    EXPECT_TRUE(std::equal(actual.row_ptr().begin(), actual.row_ptr().end(),
-                           expected.row_ptr().begin()));
-    EXPECT_TRUE(std::equal(actual.col_idx().begin(), actual.col_idx().end(),
-                           expected.col_idx().begin()));
-    // Bit-level value comparison via memcmp semantics: std::equal on
-    // doubles would treat -0.0 == 0.0 as equal, which is weaker than the
-    // contract.
-    const auto av = actual.values();
-    const auto ev = expected.values();
-    EXPECT_EQ(0, std::memcmp(av.data(), ev.data(), av.size() * sizeof(Scalar)));
-  }
-}
-
 // Out-of-core tiled runs must reproduce the same byte-pinned goldens as
 // the in-memory runs: tiling only changes the peak memory footprint, never
 // the result (docs/OUT_OF_CORE.md). kForce + tile_rows=32 splits the

@@ -5,6 +5,7 @@
 // without perturbing any paper figure.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -27,6 +28,11 @@ struct GraphCase {
   std::string name;
   Digraph (*make)();
 };
+
+// Test names embed the printed parameter; printing the graph name keeps
+// them the same from run to run (the default prints the struct's raw
+// bytes, which include heap addresses).
+void PrintTo(const GraphCase& c, std::ostream* os) { *os << c.name; }
 
 Digraph MakeRmatGraph() {
   RmatOptions options;

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
+#include <variant>
+
+#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace dgc {
@@ -88,6 +92,71 @@ TEST(SpGemmTest, ThresholdDropsSmallEntries) {
       EXPECT_NEAR(full->At(i, cols[e]), vals[e], 1e-10);
     }
   }
+}
+
+/// The `pruned_entries` metric of the one span named `name`.
+int64_t PrunedEntries(const MetricsRegistry& registry, std::string_view name) {
+  int64_t found = -1;
+  for (const SpanNode& span : registry.Spans()) {
+    if (span.name != name) continue;
+    for (const auto& [key, value] : span.metrics) {
+      if (key == "pruned_entries") found = std::get<int64_t>(value);
+    }
+  }
+  return found;
+}
+
+// Exact filter semantics of the row finalization shared by every kernel:
+// a value equal to the threshold is kept, one below it is dropped,
+// drop_diagonal removes the diagonal, and `pruned_entries` counts the
+// threshold drops only (a dropped diagonal is not a prune).
+TEST(SpGemmTest, ThresholdAndDiagonalSemanticsPinned) {
+  // I * B == B exactly, so each output is the B entry itself.
+  auto eye = std::move(CsrMatrix::FromTriplets(
+                           3, 3, {{0, 0, 1.0}, {1, 1, 1.0}, {2, 2, 1.0}}))
+                 .ValueOrDie();
+  auto b = std::move(CsrMatrix::FromTriplets(3, 3,
+                                             {{0, 0, 9.0},
+                                              {0, 1, 0.5},
+                                              {0, 2, 0.499},
+                                              {1, 1, 0.25},
+                                              {2, 0, 0.75}}))
+               .ValueOrDie();
+  MetricsRegistry registry;
+  SpGemmOptions options;
+  options.threshold = 0.5;
+  options.drop_diagonal = true;
+  options.metrics = &registry;
+  auto c = SpGemm(eye, b, options);
+  ASSERT_TRUE(c.ok());
+  // Row 0: the diagonal 9.0 goes, 0.5 (== threshold) stays, 0.499 goes.
+  // Row 1: the diagonal 0.25 is below the threshold, so it counts as a
+  // prune. Row 2: 0.75 stays.
+  ASSERT_EQ(c->nnz(), 2);
+  EXPECT_EQ(c->At(0, 1), 0.5);
+  EXPECT_EQ(c->At(2, 0), 0.75);
+  EXPECT_EQ(PrunedEntries(registry, "spgemm"), 2);
+}
+
+TEST(SpGemmTest, SymmetricThresholdAndDiagonalSemanticsPinned) {
+  // A is one column, so (A Aᵀ)(i, j) = a_i * a_j: the upper triangle holds
+  // (0,0)=1, (0,1)=0.5, (0,2)=0.499, (1,1)=0.25, (1,2)=0.2495 and
+  // (2,2)=0.249001.
+  auto a = std::move(CsrMatrix::FromTriplets(
+                         3, 1, {{0, 0, 1.0}, {1, 0, 0.5}, {2, 0, 0.499}}))
+               .ValueOrDie();
+  MetricsRegistry registry;
+  SpGemmOptions options;
+  options.threshold = 0.5;
+  options.drop_diagonal = true;
+  options.metrics = &registry;
+  auto upper = SpGemmAAtSymmetric(a, {}, {}, options);
+  ASSERT_TRUE(upper.ok());
+  // Only (0,1) == threshold survives; the dropped diagonal (0,0) is not
+  // counted, the other four entries are threshold drops.
+  ASSERT_EQ(upper->nnz(), 1);
+  EXPECT_EQ(upper->At(0, 1), 0.5);
+  EXPECT_EQ(PrunedEntries(registry, "spgemm.aat_symmetric"), 4);
 }
 
 TEST(SpGemmTest, DropDiagonalRemovesSelfEntries) {

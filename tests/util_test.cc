@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "linalg/vector_ops.h"
 #include "util/options.h"
+#include "util/radix.h"
 #include "util/result.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -338,6 +341,24 @@ TEST(VectorOpsTest, InversePowerHandlesZeros) {
   EXPECT_DOUBLE_EQ(inv[0], 0.5);
   EXPECT_DOUBLE_EQ(inv[1], 0.0);  // zero-degree convention
   EXPECT_NEAR(inv[2], 1.0 / 3.0, 1e-12);
+}
+
+TEST(RadixSortTest, RadixSortMatchesStdSortOnDistinctKeys) {
+  // EmitRow sorts the touched list with RadixSortIndices; CSR rows hold
+  // distinct keys, for which LSD radix and std::sort agree exactly.
+  for (size_t n : {size_t{0}, size_t{5}, size_t{127}, size_t{128},
+                   size_t{1000}, size_t{4096}}) {
+    Rng rng(8000 + n);
+    const int32_t bound = static_cast<int32_t>(3 * n + 7);
+    std::vector<uint64_t> sample = rng.SampleWithoutReplacement(
+        static_cast<uint64_t>(bound), static_cast<uint64_t>(n));
+    std::vector<int32_t> data(sample.begin(), sample.end());
+    std::vector<int32_t> expected = data;
+    std::sort(expected.begin(), expected.end());
+    std::vector<int32_t> scratch(n);
+    RadixSortIndices(data.data(), n, scratch.data(), bound);
+    EXPECT_EQ(expected, data) << "n=" << n;
+  }
 }
 
 TEST(TimerTest, MeasuresElapsed) {

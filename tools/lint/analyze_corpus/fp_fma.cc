@@ -1,6 +1,6 @@
 // Seeded violation: fp-fma (and nothing else).
 // Fused multiply-add rounds once where the determinism contract pins
-// two-rounding semantics (-ffp-contract=off) for scalar/SIMD bit-identity.
+// two-rounding semantics (-ffp-contract=off) for byte-identical goldens.
 #include <cmath>
 
 double DotTail(const double* a, const double* b, int n) {

@@ -2,7 +2,7 @@
 """dgc-analyze: determinism static analysis for the dgc codebase.
 
 The library's headline guarantee is bit-identical clustering output at any
-thread count and any SIMD dispatch level. The end-to-end determinism tests
+thread count and under any -march. The end-to-end determinism tests
 catch violations after they happen; this analyzer proves the invariants
 structurally, before they ship, with three rule families:
 
@@ -25,13 +25,14 @@ ParallelForWorkers / ParallelForChunked):
                            them. Writes through the loop index or a
                            per-worker slot are the only sanctioned pattern.
 
-FP-ordering hazards (outside src/util/simd.*):
+FP-ordering hazards (every file, no exemption):
 
   fp-fma                   std::fma / fmaf / fmal / __builtin_fma. Fused
                            multiply-add rounds once where the scalar
                            contract rounds twice; the whole build pins
-                           -ffp-contract=off so scalar and vector paths stay
-                           bit-identical. FMA must not come back by hand.
+                           -ffp-contract=off so a -march=native build stays
+                           byte-identical to the goldens. FMA must not come
+                           back by hand.
   fp-unordered-reduce      std::reduce / std::transform_reduce (reduction
                            order unspecified by the standard), and
                            std::accumulate over floating-point operands
@@ -358,7 +359,7 @@ def analyze_parallel_lambda(relpath, text, lam, call_name, add):
     def is_shared(name):
         if name in locals_ or name in NON_TYPE_KEYWORDS:
             return False
-        if name in ("std", "simd", "this"):
+        if name in ("std", "this"):
             return False
         if lam.by_ref_default or name in lam.by_ref_names:
             return True
@@ -470,7 +471,6 @@ def analyze_file(relpath, raw_text, findings):
         text = raw_lines[lineno - 1] if lineno - 1 < len(raw_lines) else ""
         findings.append(Finding(rule, relpath, lineno, message, text))
 
-    in_simd = is_under(relpath, "src/util/simd.*")
     in_rng = is_under(relpath, "src/util/rng.*")
     in_gen = relpath.startswith("src/gen/")
 
@@ -486,44 +486,43 @@ def analyze_file(relpath, raw_text, findings):
         analyze_parallel_lambda(relpath, code, lam, call_name, add)
 
     # --- family: FP-ordering hazards ---------------------------------------
-    if not in_simd:
-        for idx, line in enumerate(lines, start=1):
-            fm = FMA_RE.search(line)
-            if fm:
-                add("fp-fma", idx,
-                    f"{fm.group(1)}() fuses multiply-add into one rounding; "
-                    "the determinism contract pins two-rounding semantics "
-                    "(-ffp-contract=off) so scalar and SIMD paths stay "
-                    "bit-identical — multiply and add separately")
-            rm = UNORDERED_REDUCE_RE.search(line)
-            if rm:
+    for idx, line in enumerate(lines, start=1):
+        fm = FMA_RE.search(line)
+        if fm:
+            add("fp-fma", idx,
+                f"{fm.group(1)}() fuses multiply-add into one rounding; "
+                "the determinism contract pins two-rounding semantics "
+                "(-ffp-contract=off) so -march=native builds stay "
+                "byte-identical — multiply and add separately")
+        rm = UNORDERED_REDUCE_RE.search(line)
+        if rm:
+            add("fp-unordered-reduce", idx,
+                f"std::{rm.group(1)} has unspecified reduction order; "
+                "over floating-point operands the bits depend on the "
+                "implementation — write an explicit index-order loop")
+        am = ACCUMULATE_RE.search(line)
+        if am:
+            start = code.find("(", sum(len(x) + 1 for x in
+                                       lines[:idx - 1]) + am.start())
+            span = code[start:match_bracket(code, start)]
+            if FLOATISH_RE.search(span):
                 add("fp-unordered-reduce", idx,
-                    f"std::{rm.group(1)} has unspecified reduction order; "
-                    "over floating-point operands the bits depend on the "
-                    "implementation — write an explicit index-order loop")
-            am = ACCUMULATE_RE.search(line)
-            if am:
-                start = code.find("(", sum(len(x) + 1 for x in
-                                           lines[:idx - 1]) + am.start())
-                span = code[start:match_bracket(code, start)]
-                if FLOATISH_RE.search(span):
-                    add("fp-unordered-reduce", idx,
-                        "std::accumulate over floating-point operands sums "
-                        "in container-iteration order; make the order "
-                        "explicit with an index loop so it is auditable")
-            atm = ATOMIC_FLOAT_RE.search(line)
-            if atm:
-                add("fp-atomic-float", idx,
-                    "std::atomic over a floating-point type: concurrent "
-                    "accumulation commits in scheduling order, reordering "
-                    "roundings run to run — use per-worker shards and a "
-                    "serial reduction")
-            pm = FAST_MATH_PRAGMA_RE.search(line)
-            if pm:
-                add("fp-fast-math", idx,
-                    "pragma/attribute re-enables FP reassociation, "
-                    "contraction, or OpenMP scheduling, bypassing the "
-                    "-ffp-contract=off pin and the deterministic pool")
+                    "std::accumulate over floating-point operands sums "
+                    "in container-iteration order; make the order "
+                    "explicit with an index loop so it is auditable")
+        atm = ATOMIC_FLOAT_RE.search(line)
+        if atm:
+            add("fp-atomic-float", idx,
+                "std::atomic over a floating-point type: concurrent "
+                "accumulation commits in scheduling order, reordering "
+                "roundings run to run — use per-worker shards and a "
+                "serial reduction")
+        pm = FAST_MATH_PRAGMA_RE.search(line)
+        if pm:
+            add("fp-fast-math", idx,
+                "pragma/attribute re-enables FP reassociation, "
+                "contraction, or OpenMP scheduling, bypassing the "
+                "-ffp-contract=off pin and the deterministic pool")
 
     # --- family: nondeterminism sources ------------------------------------
     unordered_names = unordered_container_names(code)

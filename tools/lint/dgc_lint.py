@@ -17,13 +17,11 @@ Enforces conventions that generic tooling cannot know about:
                            expressions; handle or DGC_CHECK_OK them.
   nodiscard-declared       Status and Result must stay [[nodiscard]] so the
                            compiler flags silently dropped errors.
-  simd-intrinsics-contained raw SIMD intrinsics (_mm*/__m128/__m256/__m512,
+  no-simd-intrinsics       raw SIMD intrinsics (_mm*/__m128/__m256/__m512,
                            NEON v*q_* types/intrinsics) and intrinsic
-                           headers (immintrin.h &c.) outside
-                           src/util/simd.{h,cc}; kernels must compose the
-                           dispatch-checked primitives of util/simd.h so the
-                           scalar/vector bit-identity contract stays
-                           auditable in one file.
+                           headers (immintrin.h &c.) in any file; the
+                           kernels are plain scalar loops whose semantics
+                           the goldens pin, and no file is exempt.
   include-pragma-once      every header starts include guarding via
                            #pragma once.
   include-no-relative      no "../" includes; use project-root-relative paths.
@@ -267,7 +265,6 @@ def lint_file(relpath, raw_text, findings):
 
     in_logging = is_under(relpath, "src/util/logging.*")
     in_rng = is_under(relpath, "src/util/rng.*")
-    in_simd = is_under(relpath, "src/util/simd.*")
 
     for idx, line in enumerate(lines, start=1):
         if not in_logging:
@@ -287,13 +284,10 @@ def lint_file(relpath, raw_text, findings):
             add("no-void-status-discard", idx,
                 "(void)-discarding a Status/Result; handle the error or "
                 "use DGC_CHECK_OK / DGC_DCHECK_OK")
-        if not in_simd:
-            m = SIMD_INTRINSIC_RE.search(line)
-            if m:
-                add("simd-intrinsics-contained", idx,
-                    "raw SIMD intrinsic outside src/util/simd.*; compose "
-                    "the dispatch-checked primitives of util/simd.h "
-                    "instead")
+        m = SIMD_INTRINSIC_RE.search(line)
+        if m:
+            add("no-simd-intrinsics", idx,
+                "raw SIMD intrinsic; write the plain scalar loop instead")
         # Include targets live inside quotes, which the stripper blanks, so
         # match the raw line — but only when the stripped line is still an
         # #include (i.e. the directive is not commented out).
@@ -314,10 +308,10 @@ def lint_file(relpath, raw_text, findings):
                 add("include-project-quotes", idx,
                     f"project header <{target}> included with angle "
                     "brackets; use quotes")
-            if not in_simd and SIMD_HEADER_RE.match(target):
-                add("simd-intrinsics-contained", idx,
-                    f"intrinsic header <{target}> outside src/util/simd.*; "
-                    "compose the primitives of util/simd.h instead")
+            if SIMD_HEADER_RE.match(target):
+                add("no-simd-intrinsics", idx,
+                    f"intrinsic header <{target}>; write the plain scalar "
+                    "loop instead")
 
     # unchecked-needs-validate: window search on the stripped code.
     for idx, line in enumerate(lines, start=1):

@@ -75,7 +75,7 @@ void v(double* p) { __m256d x = _mm256_loadu_pd(p); (void)x; }
             {"no-raw-assert", "no-raw-random", "unchecked-needs-validate",
              "no-void-status-discard", "include-no-relative",
              "include-no-bits", "include-project-quotes",
-             "include-pragma-once", "simd-intrinsics-contained"})
+             "include-pragma-once", "no-simd-intrinsics"})
 
     def test_clean_tree_passes(self):
         self.write("src/util/good.cc", """\
@@ -107,7 +107,7 @@ const char* kMsg = "assert(failed) std::rand()";
         result = run_lint(self.root)
         self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
 
-    def test_simd_intrinsics_exempt_in_simd_files_only(self):
+    def test_simd_intrinsics_flagged_in_every_file(self):
         body = """\
 #include <immintrin.h>
 #include <arm_neon.h>
@@ -118,14 +118,15 @@ void f(double* p) {
   vst1q_f64(p, y);
 }
 """
-        self.write("src/util/simd.cc", body)
-        result = run_lint(self.root)
-        self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
-        self.write("src/linalg/leaky.cc", body)
-        result = run_lint(self.root)
-        self.assertEqual(result.returncode, 1, result.stdout + result.stderr)
-        self.assertEqual(self.rules_fired(result),
-                         {"simd-intrinsics-contained"})
+        # No path is exempt, a file named like a dispatch layer included.
+        for rel in ("src/util/simd.cc", "src/linalg/leaky.cc"):
+            self.write(rel, body)
+            result = run_lint(self.root)
+            self.assertEqual(result.returncode, 1,
+                             rel + result.stdout + result.stderr)
+            self.assertEqual(self.rules_fired(result),
+                             {"no-simd-intrinsics"}, rel)
+            os.remove(os.path.join(self.root, rel))
 
     def test_raw_string_contents_are_ignored(self):
         # Rule text inside raw strings (all prefix forms, with and without
