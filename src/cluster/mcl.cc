@@ -1,8 +1,10 @@
 #include "cluster/mcl.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -21,10 +23,14 @@ namespace {
 /// selection happens on raw values *before* the expensive pow() calls, so
 /// cost is O(t) for the selection plus O(k log k) for the final sort —
 /// never O(t log t) on the (possibly dense) expanded row.
-void InflatePruneRow(Index row, std::vector<Index>& cols,
+///
+/// Returns true when every inflated value underflowed and the row collapsed
+/// onto one entry. That branch is the only one that reads `row`; every
+/// other output depends on (cols, vals) alone.
+bool InflatePruneRow(Index row, std::vector<Index>& cols,
                      std::vector<Scalar>& vals, const RmclOptions& options,
                      std::vector<std::pair<Scalar, Index>>& scratch) {
-  if (cols.empty()) return;
+  if (cols.empty()) return false;
   scratch.clear();
   for (size_t i = 0; i < cols.size(); ++i) {
     scratch.emplace_back(vals[i], cols[i]);
@@ -61,7 +67,7 @@ void InflatePruneRow(Index row, std::vector<Index>& cols,
     cols.resize(1);
     vals.resize(1);
     vals[0] = 1.0;
-    return;
+    return true;
   }
   // Drop normalized entries below the prune threshold, keeping at least
   // the largest so the row never empties.
@@ -87,13 +93,14 @@ void InflatePruneRow(Index row, std::vector<Index>& cols,
     cols[i] = scratch[i].second;
     vals[i] = scratch[i].first / kept;
   }
+  return false;
 }
 
 /// Per-worker workspace for the row-parallel R-MCL loop, allocated once and
 /// reused across iterations. `marker` holds int64 stamps (iteration * n +
-/// row) so it never needs clearing between iterations; the buffered rows of
-/// the current iteration live in (rows, cols, vals) until pass 2 copies
-/// them to their final CSR offsets.
+/// row) so it never needs clearing between iterations; the rows computed by
+/// this worker in the current iteration live in (cols, vals) until pass 2
+/// copies them to their final CSR offsets.
 struct RmclWorkspace {
   std::vector<Scalar> accum;
   std::vector<int64_t> marker;
@@ -103,8 +110,7 @@ struct RmclWorkspace {
   std::vector<Index> row_cols;
   std::vector<Scalar> row_vals;
   std::vector<std::pair<Scalar, Index>> scratch;
-  std::vector<Index> rows;   ///< rows buffered by this worker this iteration
-  std::vector<Index> cols;   ///< their column indices, concatenated
+  std::vector<Index> cols;   ///< computed rows' column indices, concatenated
   std::vector<Scalar> vals;  ///< their values, concatenated
 
   void EnsureSize(Index n) {
@@ -115,11 +121,79 @@ struct RmclWorkspace {
     }
   }
   void ClearBuffers() {
-    rows.clear();
     cols.clear();
     vals.clear();
   }
 };
+
+/// One computed flow row of the current iteration: where its buffered
+/// entries sit and what the serial reductions need from it.
+struct RmclRowResult {
+  Offset nnz = 0;
+  Scalar diff = 0.0;      ///< L1 change against the previous flow row
+  int64_t expanded = 0;   ///< size of the expanded row, before the cap
+  int worker = 0;         ///< workspace holding the buffered row
+  size_t pos = 0;         ///< its offset in that workspace's (cols, vals)
+  bool collapsed = false; ///< InflatePruneRow's underflow collapse fired
+};
+
+bool RowsIdentical(const CsrMatrix& m, Index a, Index b) {
+  const auto a_cols = m.RowCols(a);
+  const auto b_cols = m.RowCols(b);
+  if (a_cols.size() != b_cols.size()) return false;
+  const size_t k = a_cols.size();
+  if (k == 0) return true;
+  return std::memcmp(a_cols.data(), b_cols.data(), k * sizeof(Index)) == 0 &&
+         std::memcmp(m.RowValues(a).data(), m.RowValues(b).data(),
+                     k * sizeof(Scalar)) == 0;
+}
+
+/// Groups the bitwise-identical rows of m. On return rep[r] is the lowest
+/// index of a row identical to row r (r itself for a representative), and
+/// `reps` lists the representatives in ascending order. Rows are hashed on
+/// their column indices and value bits, sorted by (hash, row), and every
+/// candidate match is confirmed with memcmp, so a hash collision can only
+/// cost time. O(nnz(m) + n log n).
+void GroupIdenticalRows(const CsrMatrix& m, int threads,
+                        std::vector<Index>& rep, std::vector<Index>& reps) {
+  const Index n = m.rows();
+  std::vector<std::pair<uint64_t, Index>> keys(static_cast<size_t>(n));
+  rep.resize(static_cast<size_t>(n));
+  ParallelFor(0, n, threads, [&](int64_t r64) {
+    const Index r = static_cast<Index>(r64);
+    const auto cols = m.RowCols(r);
+    const auto vals = m.RowValues(r);
+    uint64_t h = 0xcbf29ce484222325ULL ^ static_cast<uint64_t>(cols.size());
+    for (size_t i = 0; i < cols.size(); ++i) {
+      h = (h ^ static_cast<uint32_t>(cols[i])) * 0x100000001b3ULL;
+      h = (h ^ std::bit_cast<uint64_t>(vals[i])) * 0x100000001b3ULL;
+    }
+    keys[static_cast<size_t>(r64)] = {h, r};
+  });
+  std::sort(keys.begin(), keys.end());
+  for (size_t lo = 0; lo < keys.size();) {
+    size_t hi = lo + 1;
+    while (hi < keys.size() && keys[hi].first == keys[lo].first) ++hi;
+    // Rows of one hash run ascend, so each joins the earliest
+    // representative it equals or becomes one itself.
+    for (size_t i = lo; i < hi; ++i) {
+      const Index r = keys[i].second;
+      rep[static_cast<size_t>(r)] = r;
+      for (size_t j = lo; j < i; ++j) {
+        const Index s = keys[j].second;
+        if (rep[static_cast<size_t>(s)] == s && RowsIdentical(m, r, s)) {
+          rep[static_cast<size_t>(r)] = s;
+          break;
+        }
+      }
+    }
+    lo = hi;
+  }
+  reps.clear();
+  for (Index r = 0; r < n; ++r) {
+    if (rep[static_cast<size_t>(r)] == r) reps.push_back(r);
+  }
+}
 
 }  // namespace
 
@@ -236,12 +310,10 @@ Result<CsrMatrix> RmclIterate(CsrMatrix m, const CsrMatrix& mg,
     span.Metric("max_iterations", iterations);
   }
   std::vector<RmclWorkspace> workspaces(static_cast<size_t>(threads));
-  std::vector<Offset> row_nnz(static_cast<size_t>(n), 0);
-  std::vector<Scalar> row_diff(static_cast<size_t>(n), 0.0);
-  // Per-worker expanded-nnz shards (pre-prune row sizes). Row contributions
-  // are deterministic and integer addition commutes, so the per-iteration
-  // total is bit-identical across thread counts.
-  std::vector<int64_t> expanded(static_cast<size_t>(threads), 0);
+  std::vector<RmclRowResult> results(static_cast<size_t>(n));
+  std::vector<Index> rep;
+  std::vector<Index> reps;
+  std::vector<Index> splits;
   bool converged = false;
   int iterations_run = 0;
 
@@ -254,131 +326,142 @@ Result<CsrMatrix> RmclIterate(CsrMatrix m, const CsrMatrix& mg,
     const CsrMatrix& right = options.regularized ? mg : m;
     const int64_t stamp_base = static_cast<int64_t>(iter) * n;
     for (auto& w : workspaces) w.ClearBuffers();
-    if (span.live()) expanded.assign(expanded.size(), 0);
-    // Pass 1: expand, inflate and prune each row into per-worker buffers.
-    // Every quantity written (row_nnz, row_diff, the row itself) depends
-    // only on the row, so dynamic chunk assignment cannot change results.
-    ParallelForWorkers(
-        0, n, threads, /*grain=*/0,
-        [&](int worker, int64_t lo, int64_t hi) {
-          // Chunk-granularity cancellation: a tripped deadline/memory budget
-          // makes every remaining chunk a no-op, so the loop drains within
-          // one chunk's worth of work per worker.
-          if (options.cancel != nullptr && options.cancel->Expired()) return;
-          RmclWorkspace& w = workspaces[static_cast<size_t>(worker)];
-          w.EnsureSize(n);
-          audit::AuditSpan audit_nnz(row_nnz.data() + lo,
-                                     static_cast<size_t>(hi - lo),
-                                     "rmcl.row_nnz");
-          audit::AuditSpan audit_diff(row_diff.data() + lo,
-                                      static_cast<size_t>(hi - lo),
-                                      "rmcl.row_diff");
-          for (int64_t r64 = lo; r64 < hi; ++r64) {
-            const Index r = static_cast<Index>(r64);
-            const int64_t stamp = stamp_base + r;
-            // Expansion: row r of M * right.
-            Scalar* accum = w.accum.data();
-            int64_t* marker = w.marker.data();
-            Index* touched = w.touched.data();
-            Index touched_count = 0;
-            auto mcols = m.RowCols(r);
-            auto mvals = m.RowValues(r);
-            for (size_t i = 0; i < mcols.size(); ++i) {
-              const Scalar mv = mvals[i];
-              auto rcols = right.RowCols(mcols[i]);
-              auto rvals = right.RowValues(mcols[i]);
-              for (size_t j = 0; j < rcols.size(); ++j) {
-                const Index c = rcols[j];
-                if (marker[c] != stamp) {
-                  marker[c] = stamp;
-                  accum[c] = 0.0;
-                  touched[touched_count++] = c;
+    // New row r depends only on old row r and the fixed right factor
+    // (InflatePruneRow's collapse aside), so bitwise-identical rows of M
+    // yield identical new rows: compute one row per group and copy it.
+    GroupIdenticalRows(m, threads, rep, reps);
+    // Pass 1: expand, inflate and prune each listed row into per-worker
+    // buffers. Every result depends only on the row, so dynamic chunk
+    // assignment cannot change it.
+    auto compute_rows = [&](const std::vector<Index>& rows) {
+      ParallelForWorkers(
+          0, static_cast<int64_t>(rows.size()), threads, /*grain=*/0,
+          [&](int worker, int64_t lo, int64_t hi) {
+            // Chunk-granularity cancellation: a tripped deadline/memory
+            // budget makes every remaining chunk a no-op, so the loop
+            // drains within one chunk's worth of work per worker.
+            if (options.cancel != nullptr && options.cancel->Expired()) {
+              return;
+            }
+            RmclWorkspace& w = workspaces[static_cast<size_t>(worker)];
+            w.EnsureSize(n);
+            for (int64_t k = lo; k < hi; ++k) {
+              const Index r = rows[static_cast<size_t>(k)];
+              RmclRowResult& result = results[static_cast<size_t>(r)];
+              audit::AuditSpan audit_result(&result, 1, "rmcl.row_result");
+              const int64_t stamp = stamp_base + r;
+              // Expansion: row r of M * right.
+              Scalar* accum = w.accum.data();
+              int64_t* marker = w.marker.data();
+              Index* touched = w.touched.data();
+              Index touched_count = 0;
+              auto mcols = m.RowCols(r);
+              auto mvals = m.RowValues(r);
+              for (size_t i = 0; i < mcols.size(); ++i) {
+                const Scalar mv = mvals[i];
+                auto rcols = right.RowCols(mcols[i]);
+                auto rvals = right.RowValues(mcols[i]);
+                for (size_t j = 0; j < rcols.size(); ++j) {
+                  const Index c = rcols[j];
+                  if (marker[c] != stamp) {
+                    marker[c] = stamp;
+                    accum[c] = 0.0;
+                    touched[touched_count++] = c;
+                  }
+                  accum[c] += mv * rvals[j];
                 }
-                accum[c] += mv * rvals[j];
               }
-            }
-            if (options.metrics != nullptr) {
-              expanded[static_cast<size_t>(worker)] +=
-                  static_cast<int64_t>(touched_count);
-            }
-            w.row_cols.assign(w.touched.begin(),
-                              w.touched.begin() + touched_count);
-            w.row_vals.resize(static_cast<size_t>(touched_count));
-            for (Index i = 0; i < touched_count; ++i) {
-              w.row_vals[static_cast<size_t>(i)] = accum[touched[i]];
-            }
-            InflatePruneRow(r, w.row_cols, w.row_vals, options, w.scratch);
-            // L1 change of this row versus the previous flow (sorted
-            // merge).
-            {
-              auto old_cols = m.RowCols(r);
-              auto old_vals = m.RowValues(r);
+              result.expanded = static_cast<int64_t>(touched_count);
+              w.row_cols.assign(w.touched.begin(),
+                                w.touched.begin() + touched_count);
+              w.row_vals.resize(static_cast<size_t>(touched_count));
+              for (Index i = 0; i < touched_count; ++i) {
+                w.row_vals[static_cast<size_t>(i)] = accum[touched[i]];
+              }
+              result.collapsed =
+                  InflatePruneRow(r, w.row_cols, w.row_vals, options,
+                                  w.scratch);
+              // L1 change of this row versus the previous flow (sorted
+              // merge).
               Scalar diff = 0.0;
               size_t a = 0, b = 0;
-              while (a < w.row_cols.size() || b < old_cols.size()) {
-                if (b >= old_cols.size() ||
-                    (a < w.row_cols.size() && w.row_cols[a] < old_cols[b])) {
+              while (a < w.row_cols.size() || b < mcols.size()) {
+                if (b >= mcols.size() ||
+                    (a < w.row_cols.size() && w.row_cols[a] < mcols[b])) {
                   diff += std::abs(w.row_vals[a]);
                   ++a;
-                } else if (a >= w.row_cols.size() ||
-                           old_cols[b] < w.row_cols[a]) {
-                  diff += std::abs(old_vals[b]);
+                } else if (a >= w.row_cols.size() || mcols[b] < w.row_cols[a]) {
+                  diff += std::abs(mvals[b]);
                   ++b;
                 } else {
-                  diff += std::abs(w.row_vals[a] - old_vals[b]);
+                  diff += std::abs(w.row_vals[a] - mvals[b]);
                   ++a;
                   ++b;
                 }
               }
-              row_diff[static_cast<size_t>(r)] = diff;
+              result.diff = diff;
+              result.nnz = static_cast<Offset>(w.row_cols.size());
+              result.worker = worker;
+              result.pos = w.cols.size();
+              w.cols.insert(w.cols.end(), w.row_cols.begin(),
+                            w.row_cols.end());
+              w.vals.insert(w.vals.end(), w.row_vals.begin(),
+                            w.row_vals.end());
             }
-            row_nnz[static_cast<size_t>(r)] =
-                static_cast<Offset>(w.row_cols.size());
-            w.rows.push_back(r);
-            w.cols.insert(w.cols.end(), w.row_cols.begin(), w.row_cols.end());
-            w.vals.insert(w.vals.end(), w.row_vals.begin(), w.row_vals.end());
-          }
-        });
+          });
+    };
+    compute_rows(reps);
+    // The underflow collapse reads the row index, so a group whose
+    // representative collapsed splits: each member computes its own row.
+    splits.clear();
+    for (Index r = 0; r < n; ++r) {
+      const Index s = rep[static_cast<size_t>(r)];
+      if (s != r && results[static_cast<size_t>(s)].collapsed) {
+        rep[static_cast<size_t>(r)] = r;
+        splits.push_back(r);
+      }
+    }
+    if (!splits.empty()) compute_rows(splits);
     // A cancelled pass 1 leaves partially-built buffers; abandon them
     // rather than assembling a half-computed flow matrix.
     if (options.cancel != nullptr && options.cancel->cancelled()) {
       return options.cancel->status();
     }
-    // Serial prefix sum: deterministic row pointers for any thread count.
+    // Serial prefix sum and residual reduction in row order, so the row
+    // pointers and the convergence decision (and with it the iteration
+    // count) are bit-identical for any thread count and any grouping.
     std::vector<Offset> new_row_ptr(static_cast<size_t>(n) + 1, 0);
+    Scalar total_diff = 0.0;
+    int64_t expanded_nnz = 0;
     for (Index r = 0; r < n; ++r) {
+      const RmclRowResult& result =
+          results[static_cast<size_t>(rep[static_cast<size_t>(r)])];
       new_row_ptr[static_cast<size_t>(r) + 1] =
-          new_row_ptr[static_cast<size_t>(r)] +
-          row_nnz[static_cast<size_t>(r)];
+          new_row_ptr[static_cast<size_t>(r)] + result.nnz;
+      total_diff += result.diff;
+      expanded_nnz += result.expanded;
     }
-    // Pass 2: each worker copies its buffered rows to their final offsets.
+    // Pass 2: every row copies its group's buffered row to its final
+    // offset.
     std::vector<Index> new_cols(static_cast<size_t>(new_row_ptr.back()));
     std::vector<Scalar> new_vals(static_cast<size_t>(new_row_ptr.back()));
-    ParallelFor(0, threads, threads, [&](int64_t wi) {
-      const RmclWorkspace& w = workspaces[static_cast<size_t>(wi)];
-      size_t pos = 0;
-      for (Index r : w.rows) {
-        const size_t k = static_cast<size_t>(row_nnz[static_cast<size_t>(r)]);
-        const size_t at =
-            static_cast<size_t>(new_row_ptr[static_cast<size_t>(r)]);
-        audit::AuditSpan audit_c(new_cols.data() + at, k, "rmcl.col_idx");
-        audit::AuditSpan audit_v(new_vals.data() + at, k, "rmcl.values");
-        std::copy_n(w.cols.begin() + static_cast<long>(pos), k,
-                    new_cols.begin() + static_cast<long>(at));
-        std::copy_n(w.vals.begin() + static_cast<long>(pos), k,
-                    new_vals.begin() + static_cast<long>(at));
-        pos += k;
-      }
+    ParallelFor(0, n, threads, [&](int64_t r64) {
+      const RmclRowResult& result =
+          results[static_cast<size_t>(rep[static_cast<size_t>(r64)])];
+      const RmclWorkspace& w = workspaces[static_cast<size_t>(result.worker)];
+      const size_t k = static_cast<size_t>(result.nnz);
+      const size_t at =
+          static_cast<size_t>(new_row_ptr[static_cast<size_t>(r64)]);
+      audit::AuditSpan audit_c(new_cols.data() + at, k, "rmcl.col_idx");
+      audit::AuditSpan audit_v(new_vals.data() + at, k, "rmcl.values");
+      std::copy_n(w.cols.begin() + static_cast<long>(result.pos), k,
+                  new_cols.begin() + static_cast<long>(at));
+      std::copy_n(w.vals.begin() + static_cast<long>(result.pos), k,
+                  new_vals.begin() + static_cast<long>(at));
     });
-    // Serial reduction in row order, so the convergence decision (and with
-    // it the iteration count) is bit-identical across thread counts. Rows
-    // are sorted, deduplicated and in range by construction; skip the
+    // Rows are sorted, deduplicated and in range by construction; skip the
     // O(nnz) validation pass that would otherwise serialize every
     // iteration.
-    Scalar total_diff = 0.0;
-    for (Index r = 0; r < n; ++r) {
-      total_diff += row_diff[static_cast<size_t>(r)];
-    }
     m = CsrMatrix::FromPartsUnchecked(n, n, std::move(new_row_ptr),
                                       std::move(new_cols),
                                       std::move(new_vals));
@@ -386,9 +469,9 @@ Result<CsrMatrix> RmclIterate(CsrMatrix m, const CsrMatrix& mg,
     ++iterations_run;
     const Scalar residual = total_diff / static_cast<Scalar>(n);
     if (iter_span.live()) {
-      int64_t expanded_nnz = 0;
-      for (const int64_t e : expanded) expanded_nnz += e;
       iter_span.Metric("expanded_nnz", expanded_nnz);
+      iter_span.Metric("rows_computed",
+                       static_cast<int64_t>(reps.size() + splits.size()));
       iter_span.Metric("nnz", m.nnz());
       iter_span.Metric("residual", residual);
       iter_span.PerfMetric("workers", threads);

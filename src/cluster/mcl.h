@@ -47,8 +47,9 @@ struct RmclOptions {
   int num_threads = 1;
 
   /// Optional observability sink (obs/metrics.h). When non-null RmclIterate
-  /// records one span per iteration (flow nnz, expanded nnz, convergence
-  /// residual); when null — the default — no instrumentation runs at all.
+  /// records one span per iteration (flow nnz, expanded nnz, rows
+  /// computed, convergence residual); when null — the default — no
+  /// instrumentation runs at all.
   MetricsRegistry* metrics = nullptr;
 
   /// Optional cooperative cancellation (util/budget.h). When non-null the
@@ -79,6 +80,14 @@ CsrMatrix BuildFlowMatrixFromAdjacency(const CsrMatrix& adj,
 /// with workspaces reused across iterations; row results are
 /// order-independent, so the output is bit-identical to the sequential
 /// path.
+///
+/// A new row depends only on its old row and the right factor (M_G, or M
+/// itself when !options.regularized), so each iteration groups the
+/// bitwise-identical rows of M and computes one row per group; the others
+/// copy it. The exception is the all-values-underflowed collapse, which
+/// reads the row index: a group whose row collapses is computed row by
+/// row. The output is byte-identical to computing every row, and the
+/// `expanded_nnz` metric still counts every row (DESIGN.md section 13).
 Result<CsrMatrix> RmclIterate(CsrMatrix m, const CsrMatrix& mg,
                               const RmclOptions& options, int iterations);
 

@@ -53,6 +53,12 @@ struct MlrMclOptions {
 /// controlled indirectly via options.rmcl.inflation (Section 4.2 of the
 /// paper): sweep the inflation to sweep cluster granularity.
 ///
+/// Flow rows are shared through refinement (see ProjectFlow), so all
+/// descendants of one coarsest vertex keep one row and one attractor. The
+/// clusters are therefore unions of coarsest-level vertices (before
+/// `min_cluster_size` merging), and the finest level holds at most as many
+/// distinct flow rows as the coarsest graph has vertices.
+///
 /// When `final_flow` is non-null the converged finest-level flow matrix is
 /// moved into it after label extraction, so callers can warm-start a later
 /// run (RmclWarmStart) after an edge delta without redoing the multilevel
@@ -65,6 +71,10 @@ Result<Clustering> MlrMcl(const UGraph& g, const MlrMclOptions& options = {},
 /// equally among that supernode's children. Rows remain stochastic.
 /// Row-parallel (num_threads follows the 0 = hardware-concurrency
 /// convention); output is bit-identical for every thread count.
+///
+/// Siblings (children of one supernode) get identical rows, and R-MCL
+/// keeps identical rows identical (mcl.h), so they never separate again
+/// unless every inflated value of their row underflows.
 Result<CsrMatrix> ProjectFlow(const CsrMatrix& coarse_flow,
                               const std::vector<Index>& to_coarser,
                               Index num_fine, int num_threads = 1);

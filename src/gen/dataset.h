@@ -25,7 +25,11 @@ struct Dataset {
         !node_names[static_cast<size_t>(v)].empty()) {
       return node_names[static_cast<size_t>(v)];
     }
-    return "#" + std::to_string(v);
+    // Not "#" + std::to_string(v): GCC 12 raises a -Wrestrict false
+    // positive on that form, which fails -Werror builds.
+    std::string name("#");
+    name += std::to_string(v);
+    return name;
   }
 };
 

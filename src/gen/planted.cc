@@ -1,6 +1,7 @@
 #include "gen/planted.h"
 
 #include <string>
+#include <utility>
 
 #include "util/rng.h"
 
@@ -88,9 +89,13 @@ Result<Dataset> GeneratePlanted(const PlantedOptions& options) {
     const Index member_end = member_begin + options.cluster_size;
     for (Index m = member_begin; m < member_end; ++m) {
       dataset.truth.categories[static_cast<size_t>(c)].push_back(m);
-      dataset.node_names[static_cast<size_t>(m)] =
-          "C" + std::to_string(c) + "-member" +
-          std::to_string(m - member_begin);
+      // Appended piecewise: GCC 12 raises a -Wrestrict false positive on
+      // "literal" + std::to_string(...), which fails -Werror builds.
+      std::string name("C");
+      name += std::to_string(c);
+      name += "-member";
+      name += std::to_string(m - member_begin);
+      dataset.node_names[static_cast<size_t>(m)] = std::move(name);
     }
     // Shared targets: every member points to them.
     for (Index target : pick_context(c, options.targets_per_cluster,

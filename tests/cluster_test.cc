@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <vector>
 
 #include "cluster/coarsen.h"
 #include "cluster/graclus.h"
@@ -222,6 +223,57 @@ TEST(RmclTest, RejectsBadInflation) {
   RmclOptions bad;
   bad.inflation = 1.0;
   EXPECT_FALSE(Rmcl(g, bad).ok());
+}
+
+TEST(RmclTest, IdenticalRowsSplitWhenTheCollapseFires) {
+  // Rows 0 and 1 are identical; every inflated value underflows
+  // ((1e-170)^2 == 0), so each row collapses onto its own self-loop. The
+  // collapse is the one per-row rule that reads the row index, so the two
+  // rows must not share a result.
+  auto m = CsrMatrix::FromTriplets(
+      2, 2, {{0, 0, 1e-170}, {0, 1, 1e-170}, {1, 0, 1e-170}, {1, 1, 1e-170}});
+  ASSERT_TRUE(m.ok());
+  const CsrMatrix identity = CsrMatrix::Identity(2);
+  RmclOptions options;
+  options.inflation = 2.0;
+  auto out = RmclIterate(std::move(m).ValueOrDie(), identity, options, 1);
+  ASSERT_TRUE(out.ok());
+  ASSERT_EQ(out->RowNnz(0), 1);
+  ASSERT_EQ(out->RowNnz(1), 1);
+  EXPECT_EQ(out->RowCols(0)[0], 0);
+  EXPECT_EQ(out->RowValues(0)[0], 1.0);
+  EXPECT_EQ(out->RowCols(1)[0], 1);
+  EXPECT_EQ(out->RowValues(1)[0], 1.0);
+}
+
+TEST(RmclTest, IdenticalRowsStayIdenticalUnderClassicMcl) {
+  // Projection gives both children of a supernode the same flow row; with
+  // expansion M*M (regularized = false) they must stay identical too.
+  UGraph coarse_graph = BlockGraph(3, 6);
+  const CsrMatrix coarse = BuildFlowMatrix(coarse_graph, 1.0);
+  std::vector<Index> to_coarser;
+  for (Index i = 0; i < 2 * coarse.rows(); ++i) to_coarser.push_back(i / 2);
+  auto fine = ProjectFlow(coarse, to_coarser, 2 * coarse.rows());
+  ASSERT_TRUE(fine.ok());
+  // Classic MCL never reads M_G; it only has to match M's shape.
+  const CsrMatrix mg = BuildFlowMatrix(BlockGraph(6, 6), 1.0);
+  RmclOptions options;
+  options.regularized = false;
+  options.convergence_tol = 0.0;
+  auto out = RmclIterate(*fine, mg, options, 6);
+  ASSERT_TRUE(out.ok());
+  for (Index r = 0; r < out->rows(); r += 2) {
+    const auto cols = out->RowCols(r);
+    const auto vals = out->RowValues(r);
+    EXPECT_EQ(std::vector<Index>(cols.begin(), cols.end()),
+              std::vector<Index>(out->RowCols(r + 1).begin(),
+                                 out->RowCols(r + 1).end()))
+        << "row " << r;
+    EXPECT_EQ(std::vector<Scalar>(vals.begin(), vals.end()),
+              std::vector<Scalar>(out->RowValues(r + 1).begin(),
+                                  out->RowValues(r + 1).end()))
+        << "row " << r;
+  }
 }
 
 TEST(FlowToClusteringTest, AttractorChainsMerge) {

@@ -5,10 +5,14 @@
 // without perturbing any paper figure.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <ostream>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "cluster/coarsen.h"
 #include "cluster/mcl.h"
 #include "cluster/mlr_mcl.h"
 #include "cluster/pipeline.h"
@@ -19,6 +23,7 @@
 #include "graph/digraph.h"
 #include "linalg/csr_matrix.h"
 #include "linalg/spgemm.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace dgc {
@@ -114,6 +119,78 @@ TEST_P(ParallelDeterminismTest, RmclIterateMatchesSerial) {
   EXPECT_EQ(*serial, *auto_threads);
 }
 
+bool RowBytesEqual(const CsrMatrix& a, Index ra, const CsrMatrix& b,
+                   Index rb) {
+  const auto a_cols = a.RowCols(ra);
+  const auto b_cols = b.RowCols(rb);
+  return a_cols.size() == b_cols.size() &&
+         std::memcmp(a_cols.data(), b_cols.data(),
+                     a_cols.size() * sizeof(Index)) == 0 &&
+         std::memcmp(a.RowValues(ra).data(), b.RowValues(rb).data(),
+                     a_cols.size() * sizeof(Scalar)) == 0;
+}
+
+// RmclIterate computes one row per group of bitwise-identical rows and
+// copies it to the others. Differential check against a run in which every
+// row is distinct: duplicating source rows must duplicate output rows.
+TEST_P(ParallelDeterminismTest, RmclIterateDuplicatedRowsMatchSources) {
+  const Digraph g = GetParam().make();
+  auto u = SymmetrizeAPlusAT(g);
+  ASSERT_TRUE(u.ok());
+  const CsrMatrix mg = BuildFlowMatrix(*u, 1.0, 1);
+  const Index n = mg.rows();
+  // A distinct-row flow: M_G with every row nudged by its own index.
+  CsrMatrix m = mg;
+  for (Index r = 0; r < n; ++r) {
+    for (Offset e = m.row_ptr()[static_cast<size_t>(r)];
+         e < m.row_ptr()[static_cast<size_t>(r) + 1]; ++e) {
+      m.mutable_values()[static_cast<size_t>(e)] *=
+          1.0 + 1e-9 * static_cast<Scalar>(r);
+    }
+  }
+  std::set<std::pair<std::vector<Index>, std::vector<Scalar>>> rows;
+  for (Index r = 0; r < n; ++r) {
+    rows.emplace(std::vector<Index>(m.RowCols(r).begin(), m.RowCols(r).end()),
+                 std::vector<Scalar>(m.RowValues(r).begin(),
+                                     m.RowValues(r).end()));
+  }
+  ASSERT_EQ(static_cast<Index>(rows.size()), n);
+  // Row map onto every fourth row; m2[r] = m[pi(r)].
+  Rng rng(17);
+  std::vector<Index> pi(static_cast<size_t>(n));
+  std::vector<Triplet> triplets;
+  for (Index r = 0; r < n; ++r) {
+    const Index source =
+        4 * static_cast<Index>(rng.UniformU64(static_cast<uint64_t>(n / 4)));
+    pi[static_cast<size_t>(r)] = source;
+    auto cols = m.RowCols(source);
+    auto vals = m.RowValues(source);
+    for (size_t i = 0; i < cols.size(); ++i) {
+      triplets.push_back({r, cols[i], vals[i]});
+    }
+  }
+  auto m2 = CsrMatrix::FromTriplets(n, n, triplets);
+  ASSERT_TRUE(m2.ok());
+  // Run every iteration: the two inputs converge at different times.
+  RmclOptions options;
+  options.convergence_tol = 0.0;
+  for (int iterations : {1, 12}) {
+    for (int threads : {1, 8, 0}) {
+      options.num_threads = threads;
+      auto distinct = RmclIterate(m, mg, options, iterations);
+      ASSERT_TRUE(distinct.ok());
+      auto duplicated = RmclIterate(*m2, mg, options, iterations);
+      ASSERT_TRUE(duplicated.ok());
+      for (Index r = 0; r < n; ++r) {
+        ASSERT_TRUE(RowBytesEqual(*duplicated, r, *distinct,
+                                  pi[static_cast<size_t>(r)]))
+            << "row " << r << " iterations=" << iterations
+            << " threads=" << threads;
+      }
+    }
+  }
+}
+
 TEST_P(ParallelDeterminismTest, RmclClusteringMatchesSerial) {
   const Digraph g = GetParam().make();
   auto u = SymmetrizeAPlusAT(g);
@@ -135,14 +212,30 @@ TEST_P(ParallelDeterminismTest, MlrMclMatchesSerial) {
   sym_options.prune_threshold = 0.05;
   auto u = SymmetrizeDegreeDiscounted(g, sym_options);
   ASSERT_TRUE(u.ok());
-  MlrMclOptions options;
-  options.rmcl.num_threads = 1;
-  auto serial = MlrMcl(*u, options);
-  ASSERT_TRUE(serial.ok());
-  options.rmcl.num_threads = 8;
-  auto parallel = MlrMcl(*u, options);
-  ASSERT_TRUE(parallel.ok());
-  EXPECT_EQ(serial->labels(), parallel->labels());
+  // At the default coarsening target these graphs barely coarsen; at 60
+  // flow rows are projected through several levels, so siblings share
+  // rows during refinement.
+  for (Index target : {Index{1000}, Index{60}}) {
+    MlrMclOptions options;
+    options.coarsen.target_vertices = target;
+    if (target == 60) {
+      CoarsenOptions coarsen = options.coarsen;
+      coarsen.seed = options.seed;
+      auto hierarchy = BuildHierarchy(*u, coarsen);
+      ASSERT_TRUE(hierarchy.ok());
+      ASSERT_GE(hierarchy->NumLevels(), 3);
+    }
+    options.rmcl.num_threads = 1;
+    auto serial = MlrMcl(*u, options);
+    ASSERT_TRUE(serial.ok());
+    for (int threads : {8, 0}) {
+      options.rmcl.num_threads = threads;
+      auto parallel = MlrMcl(*u, options);
+      ASSERT_TRUE(parallel.ok());
+      EXPECT_EQ(serial->labels(), parallel->labels())
+          << "target=" << target << " threads=" << threads;
+    }
+  }
 }
 
 TEST_P(ParallelDeterminismTest, AllPairsSimilarityMatchesSerial) {
