@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the computational kernels the
 // symmetrization framework is built on: sparse transpose, SpGEMM with and
 // without pruning, PageRank power iteration, the four symmetrizations, and
-// the fused-vs-reference similarity engines on the paper's four stand-in
-// datasets. Complements the per-table experiment binaries.
+// the similarity symmetrizations on the paper's four stand-in datasets.
+// Complements the per-table experiment binaries.
 //
 // Flags (consumed before google-benchmark sees the command line):
 //   --json=<path>   write the google-benchmark JSON report to <path>
@@ -242,60 +242,34 @@ BENCHMARK(BM_RmclIterateThreads)
     ->ArgPair(14, 8)
     ->UseRealTime();
 
-// Fused vs reference similarity engines on the four stand-in datasets
-// (Arg = dataset index). The acceptance criterion for the fused path is
-// CPU time: fused Degree-discounted must be >= 1.5x faster than reference
-// on at least 3 of the 4 datasets.
+// The similarity symmetrizations on the four stand-in datasets (Arg =
+// dataset index).
 
-void RunDegreeDiscounted(benchmark::State& state, SimilarityEngine engine) {
+void BM_DegreeDiscountedFused(benchmark::State& state) {
   const Dataset& d = StandIn(state.range(0));
   SymmetrizationOptions options;
   options.prune_threshold = 0.05;
-  options.engine = engine;
   for (auto _ : state) {
     auto u = SymmetrizeDegreeDiscounted(d.graph, options);
     benchmark::DoNotOptimize(u);
   }
   state.SetLabel(d.name);
 }
-
-void BM_DegreeDiscountedFused(benchmark::State& state) {
-  RunDegreeDiscounted(state, SimilarityEngine::kFused);
-}
 BENCHMARK(BM_DegreeDiscountedFused)
     ->DenseRange(0, 3)
     ->Unit(benchmark::kMillisecond);
 
-void BM_DegreeDiscountedReference(benchmark::State& state) {
-  RunDegreeDiscounted(state, SimilarityEngine::kReference);
-}
-BENCHMARK(BM_DegreeDiscountedReference)
-    ->DenseRange(0, 3)
-    ->Unit(benchmark::kMillisecond);
-
-void RunBibliometric(benchmark::State& state, SimilarityEngine engine) {
+void BM_BibliometricFused(benchmark::State& state) {
   const Dataset& d = StandIn(state.range(0));
   SymmetrizationOptions options;
   options.prune_threshold = 2.0;
-  options.engine = engine;
   for (auto _ : state) {
     auto u = SymmetrizeBibliometric(d.graph, options);
     benchmark::DoNotOptimize(u);
   }
   state.SetLabel(d.name);
 }
-
-void BM_BibliometricFused(benchmark::State& state) {
-  RunBibliometric(state, SimilarityEngine::kFused);
-}
 BENCHMARK(BM_BibliometricFused)
-    ->DenseRange(0, 3)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_BibliometricReference(benchmark::State& state) {
-  RunBibliometric(state, SimilarityEngine::kReference);
-}
-BENCHMARK(BM_BibliometricReference)
     ->DenseRange(0, 3)
     ->Unit(benchmark::kMillisecond);
 
@@ -337,10 +311,11 @@ BENCHMARK(BM_DegreeDiscountedLiveSink)
 // four stand-in datasets. BM_SymmetricProductSumInMemory is the in-memory
 // oracle (two upper-triangle products + fused merge); the tiled variant
 // runs the identical math through row-block tiles and the disk spool —
-// ArgsProduct(dataset, tile_rows), overridable with --tile-rows=N. The
-// outputs are bit-identical (tests/spgemm_tiled_test.cc pins that), so
-// cpu_time ratios directly price the spool + stitch overhead per tile
-// geometry.
+// ArgsProduct(dataset, tile_rows), overridable with --tile-rows=N. A tile
+// height of at least the row count is a one-tile plan, which runs the
+// in-memory kernels. The outputs are bit-identical
+// (tests/spgemm_tiled_test.cc pins that), so cpu_time ratios directly
+// price the spool + stitch overhead per tile geometry.
 
 void BM_SymmetricProductSumInMemory(benchmark::State& state) {
   const Dataset& d = StandIn(state.range(0));
@@ -372,14 +347,11 @@ void BM_SymmetricProductSumTiled(benchmark::State& state) {
   const CsrMatrix& a = d.graph.adjacency();
   const CsrMatrix at = a.Transpose();
   TiledSymmetricSumOptions options;
-  options.product_threshold = 0.025;
-  options.product_drop_diagonal = true;
-  options.sum_threshold = 0.05;
-  options.sum_drop_diagonal = true;
+  options.threshold = 0.05;
   options.tile_rows = g_tile_rows > 0 ? static_cast<Index>(g_tile_rows)
                                       : static_cast<Index>(state.range(1));
   for (auto _ : state) {
-    auto u = TiledSymmetricProductSum(a, at, {}, {}, {}, {}, options);
+    auto u = SymmetricProductSum(a, at, {}, {}, {}, {}, options);
     DGC_CHECK(u.ok());
     benchmark::DoNotOptimize(u);
   }
@@ -541,13 +513,10 @@ int RunRoofline(const std::string& path) {
     // product streams, one read of each input and the output write.
     {
       TiledSymmetricSumOptions tiled_options;
-      tiled_options.product_threshold = 0.025;
-      tiled_options.product_drop_diagonal = true;
-      tiled_options.sum_threshold = 0.05;
-      tiled_options.sum_drop_diagonal = true;
+      tiled_options.threshold = 0.05;
       tiled_options.tile_rows = std::max<Index>(1, a.rows() / 8);
       auto tiled_out =
-          TiledSymmetricProductSum(a, at, {}, {}, {}, {}, tiled_options);
+          SymmetricProductSum(a, at, {}, {}, {}, {}, tiled_options);
       DGC_CHECK(tiled_out.ok());
       const double madds_c = static_cast<double>(SpGemmFlops(at, a));
       const double spooled =
@@ -558,8 +527,7 @@ int RunRoofline(const std::string& path) {
                            12.0 * (2.0 * nnz +
                                    static_cast<double>(tiled_out->nnz()))};
       tiled.cpu_seconds = TimeBest([&] {
-        auto c = TiledSymmetricProductSum(a, at, {}, {}, {}, {},
-                                          tiled_options);
+        auto c = SymmetricProductSum(a, at, {}, {}, {}, {}, tiled_options);
         DGC_CHECK(c.ok());
         benchmark::DoNotOptimize(c);
       });

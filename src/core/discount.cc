@@ -21,22 +21,24 @@ std::string DiscountSpec::ToString() const {
   return "?";
 }
 
+Scalar DiscountFactor(Offset degree, const DiscountSpec& spec) {
+  const Scalar d = static_cast<Scalar>(degree);
+  switch (spec.kind) {
+    case DiscountKind::kNone:
+      return 1.0;
+    case DiscountKind::kPower:
+      return d > 0.0 ? std::pow(d, -spec.exponent) : 0.0;
+    case DiscountKind::kLog:
+      return d > 0.0 ? 1.0 / std::log1p(d) : 0.0;
+  }
+  return 1.0;
+}
+
 std::vector<Scalar> DiscountFactors(std::span<const Offset> degrees,
                                     const DiscountSpec& spec) {
   std::vector<Scalar> out(degrees.size());
   for (size_t i = 0; i < degrees.size(); ++i) {
-    const Scalar d = static_cast<Scalar>(degrees[i]);
-    switch (spec.kind) {
-      case DiscountKind::kNone:
-        out[i] = 1.0;
-        break;
-      case DiscountKind::kPower:
-        out[i] = d > 0.0 ? std::pow(d, -spec.exponent) : 0.0;
-        break;
-      case DiscountKind::kLog:
-        out[i] = d > 0.0 ? 1.0 / std::log1p(d) : 0.0;
-        break;
-    }
+    out[i] = DiscountFactor(degrees[i], spec);
   }
   return out;
 }

@@ -37,11 +37,14 @@ struct DiscountSpec {
   std::string ToString() const;
 };
 
-/// \brief Per-node discount factors for the given degrees.
+/// \brief The discount factor of one node with the given degree.
 ///
 /// Zero-degree nodes get factor 0: a node with no links contributes nothing
 /// (rather than dividing by zero). For kNone, zero-degree nodes get 1 —
 /// they have no contributions to scale anyway.
+Scalar DiscountFactor(Offset degree, const DiscountSpec& spec);
+
+/// Per-node DiscountFactor for each of the given degrees.
 std::vector<Scalar> DiscountFactors(std::span<const Offset> degrees,
                                     const DiscountSpec& spec);
 

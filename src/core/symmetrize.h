@@ -50,24 +50,9 @@ inline constexpr SymmetrizationMethod kAllSymmetrizations[] = {
     SymmetrizationMethod::kDegreeDiscounted,
 };
 
-/// Which kernel family computes the similarity products (Bibliometric and
-/// Degree-discounted only; the other methods have no similarity product).
-enum class SimilarityEngine {
-  /// Symmetric-aware path (the default): one shared transpose of the input,
-  /// upper-triangle products with the diagonal scalings applied on the fly
-  /// (SpGemmAAtSymmetric), and a fused add + prune + mirror
-  /// (SpGemmSymmetricSum). Roughly half the flops and one full-size
-  /// intermediate instead of six.
-  kFused,
-  /// The literal-formula path kept as the correctness oracle: scaled copies
-  /// of A, two full SpGEMMs, then separate Add and Pruned passes. Produces
-  /// bit-identical output to kFused at any thread count.
-  kReference,
-};
-
 /// When the similarity products run out of core (docs/OUT_OF_CORE.md):
-/// row-block tiles through the fused kernels with a disk spool instead of
-/// full in-memory intermediates. The tiled path produces bit-identical
+/// row-block tiles through the same row kernels with a disk spool instead
+/// of full in-memory intermediates. The tiled path produces bit-identical
 /// graphs at any thread count and tile size — the mode only changes the
 /// peak memory footprint, never the result.
 enum class OutOfCoreMode {
@@ -79,7 +64,8 @@ enum class OutOfCoreMode {
   /// kernels abort with kResourceExhausted when the estimate trips at
   /// charge time.
   kOff,
-  /// Always tile the fused similarity products (tests/benches).
+  /// Always plan tiles for the similarity products (tests/benches); a plan
+  /// that comes out as one tile still runs in memory.
   kForce,
 };
 
@@ -110,14 +96,9 @@ struct SymmetrizationOptions {
   /// core. The symmetrized graph is bit-identical for every setting.
   int num_threads = 1;
 
-  /// Kernel family for the similarity products (Bibliometric and
-  /// Degree-discounted). kFused and kReference produce bit-identical
-  /// graphs; kReference exists as the test oracle and for perf comparison.
-  SimilarityEngine engine = SimilarityEngine::kFused;
-
   /// Optional observability sink (obs/metrics.h). When non-null each
   /// symmetrization records a stage span with input/output nnz, the prune
-  /// threshold, pruned-entry counts and the engine used; when null — the
+  /// threshold and pruned-entry counts; when null — the
   /// default — no instrumentation runs at all.
   MetricsRegistry* metrics = nullptr;
 
@@ -129,8 +110,8 @@ struct SymmetrizationOptions {
   /// token.
   CancelToken* cancel = nullptr;
 
-  /// Out-of-core control for the fused similarity products (Bibliometric
-  /// and Degree-discounted). See OutOfCoreMode; kAuto + a budget degrades
+  /// Out-of-core control for the similarity products (Bibliometric and
+  /// Degree-discounted). See OutOfCoreMode; kAuto + a budget degrades
   /// to tiling instead of aborting. The output is bit-identical either
   /// way.
   OutOfCoreMode out_of_core = OutOfCoreMode::kAuto;
@@ -194,8 +175,9 @@ Result<SimilarityFactors> BuildSimilarityFactors(
 
 /// \brief The degree-discounted similarity of a single node pair, computed
 /// directly from the definition (Section 3.4). O(dout(i)+dout(j)+din(i)+
-/// din(j)) given the precomputed transpose; used for spot queries and as a
-/// test oracle for the matrix path. `a_transpose` must equal
+/// din(j)) given the precomputed transpose (only the discount factors of
+/// i, j and their common neighbours are evaluated); used for spot queries
+/// and as a test oracle for the matrix path. `a_transpose` must equal
 /// g.adjacency().Transpose() — batch callers compute it once instead of
 /// paying an O(nnz) transpose per query.
 Scalar DegreeDiscountedSimilarity(const Digraph& g,

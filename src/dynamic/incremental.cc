@@ -81,13 +81,11 @@ Result<IncrementalSymmetrizer> IncrementalSymmetrizer::Create(
   }
   IncrementalSymmetrizer s;
   s.method_ = method;
-  // Normalize to the plain fused in-memory path; every engine is
-  // bit-identical (the determinism contract), so the maintained result
-  // still matches a from-scratch run under any engine/tiling setting.
-  // metrics/cancel are per-call concerns that must not outlive a request
-  // into this long-lived object.
+  // Normalize to the plain in-memory path; tiling is bit-identical (the
+  // determinism contract), so the maintained result still matches a
+  // from-scratch run under any tiling setting. metrics/cancel are per-call
+  // concerns that must not outlive a request into this long-lived object.
   s.options_ = options;
-  s.options_.engine = SimilarityEngine::kFused;
   s.options_.out_of_core = OutOfCoreMode::kOff;
   s.options_.metrics = nullptr;
   s.options_.cancel = nullptr;
@@ -121,7 +119,7 @@ Status IncrementalSymmetrizer::RecomputeAll() {
 
   // Similarity methods: replicate the fused recipe while keeping both
   // upper triangles for later splicing. The exact call sequence mirrors
-  // BibliometricFused / DegreeDiscountedFused, so the triangles — and the
+  // SymmetricProductSum's one-tile case, so the triangles — and the
   // summed, mirrored result — are bit-identical to Symmetrize().
   CsrMatrix a_store;
   CsrMatrix at_store;

@@ -49,9 +49,9 @@ struct IncrementalStats {
 ///   Random walk   the stationary distribution π is global, so every row
 ///                 can change: honest full recompute (rows_recomputed = n).
 ///
-/// The stored options are normalized to the plain fused in-memory path
-/// (engine kFused, out_of_core kOff) — all engines are
-/// bit-identical by the determinism contract, so the maintained result
+/// The stored options are normalized to the plain in-memory path
+/// (out_of_core kOff) — tiling is bit-identical by the determinism
+/// contract, so the maintained result
 /// still matches a from-scratch run under the caller's original settings.
 /// metrics/cancel are dropped: updates are row-sparse and short-lived, and
 /// a per-request token must not dangle into a long-lived session (callers

@@ -1,7 +1,6 @@
 #include "linalg/spgemm.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "linalg/spgemm_impl.h"
 #include "obs/span.h"
@@ -16,9 +15,10 @@ using spgemm_internal::AssemblyBytes;
 using spgemm_internal::Cancelled;
 using spgemm_internal::ComputeRow;
 using spgemm_internal::ComputeUpperRow;
+using spgemm_internal::ComputeUpperRows;
+using spgemm_internal::MergeUpperRow;
 using spgemm_internal::RecordPassStats;
 using spgemm_internal::SpGemmWorkspace;
-
 
 Result<CsrMatrix> SpGemm(const CsrMatrix& a, const CsrMatrix& b,
                          const SpGemmOptions& options) {
@@ -100,22 +100,6 @@ Result<CsrMatrix> SpGemmAAt(const CsrMatrix& a, const CsrMatrix& a_transpose,
   return SpGemm(a, a_transpose, options);
 }
 
-Result<CsrMatrix> SpGemmAtA(const CsrMatrix& a, const SpGemmOptions& options) {
-  return SpGemm(a.Transpose(options.num_threads), a, options);
-}
-
-Result<CsrMatrix> SpGemmAtA(const CsrMatrix& a, const CsrMatrix& a_transpose,
-                            const SpGemmOptions& options) {
-  if (a_transpose.rows() != a.cols() || a_transpose.cols() != a.rows() ||
-      a_transpose.nnz() != a.nnz()) {
-    return Status::InvalidArgument("SpGemmAtA: a_transpose " +
-                                   a_transpose.DebugString() +
-                                   " is not the transpose of " +
-                                   a.DebugString());
-  }
-  return SpGemm(a_transpose, a, options);
-}
-
 Result<CsrMatrix> SpGemmAAtSymmetric(const CsrMatrix& a,
                                      std::span<const Scalar> row_scale,
                                      std::span<const Scalar> col_scale,
@@ -166,29 +150,11 @@ Result<CsrMatrix> SpGemmAAtSymmetric(const CsrMatrix& a,
   if (accum_charge.exceeded()) return options.cancel->status();
 
   std::vector<SpGemmWorkspace> workspaces(static_cast<size_t>(threads));
-  std::vector<Offset> row_nnz(static_cast<size_t>(rows), 0);
-  ParallelForWorkers(
-      0, rows, threads, /*grain=*/0,
-      [&](int worker, int64_t lo, int64_t hi) {
-        if (Cancelled(options.cancel)) return;
-        SpGemmWorkspace& w = workspaces[static_cast<size_t>(worker)];
-        w.EnsureSize(rows);
-        for (int64_t r = lo; r < hi; ++r) {
-          const size_t before = w.cols.size();
-          ComputeUpperRow(a, *a_transpose, row_scale, col_scale,
-                          static_cast<Index>(r), options, w);
-          row_nnz[static_cast<size_t>(r)] =
-              static_cast<Offset>(w.cols.size() - before);
-          w.rows.push_back(static_cast<Index>(r));
-        }
-      });
-  if (Cancelled(options.cancel)) return options.cancel->status();
-  MemoryCharge assembly_charge(options.cancel,
-                               AssemblyBytes(rows, workspaces));
-  if (assembly_charge.exceeded()) return options.cancel->status();
+  DGC_ASSIGN_OR_RETURN(
+      CsrMatrix upper,
+      ComputeUpperRows(a, *a_transpose, row_scale, col_scale, 0, rows,
+                       options, threads, workspaces, "SpGemmAAtSymmetric"));
   RecordPassStats(span, workspaces, threads);
-  CsrMatrix upper = AssembleRows(rows, rows, threads, workspaces, row_nnz,
-                                 /*row_base=*/0, "SpGemmAAtSymmetric");
   span.Metric("output_nnz", upper.nnz());
   return upper;
 }
@@ -358,36 +324,8 @@ Result<CsrMatrix> SpGemmSymmetricSum(const CsrMatrix& upper_b,
         for (int64_t r64 = lo; r64 < hi; ++r64) {
           const Index r = static_cast<Index>(r64);
           const size_t before = w.cols.size();
-          auto bc = upper_b.RowCols(r);
-          auto bv = upper_b.RowValues(r);
-          auto cc = upper_c.RowCols(r);
-          auto cv = upper_c.RowValues(r);
-          size_t i = 0, j = 0;
-          while (i < bc.size() || j < cc.size()) {
-            Index col;
-            Scalar v;
-            if (j >= cc.size() || (i < bc.size() && bc[i] < cc[j])) {
-              col = bc[i];
-              v = bv[i];
-              ++i;
-            } else if (i >= bc.size() || cc[j] < bc[i]) {
-              col = cc[j];
-              v = cv[j];
-              ++j;
-            } else {
-              col = bc[i];
-              v = bv[i] + cv[j];
-              ++i;
-              ++j;
-            }
-            if (options.threshold > 0.0 && std::abs(v) < options.threshold) {
-              ++w.dropped;
-              continue;
-            }
-            if (options.drop_diagonal && col == r) continue;
-            w.cols.push_back(col);
-            w.vals.push_back(v);
-          }
+          w.dropped +=
+              MergeUpperRow(upper_b, upper_c, r, r, options, w.cols, w.vals);
           row_nnz[static_cast<size_t>(r)] =
               static_cast<Offset>(w.cols.size() - before);
           w.rows.push_back(r);

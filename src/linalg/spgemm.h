@@ -3,8 +3,8 @@
 // Degree-discounted symmetrizations (Sections 3.3-3.5 of the paper).
 //
 // Two families:
-//  * the general Gustavson kernel (SpGemm / SpGemmAAt / SpGemmAtA), which
-//    computes every output entry, and
+//  * the general Gustavson kernel (SpGemm / SpGemmAAt), which computes
+//    every output entry, and
 //  * the symmetry-exploiting kernels (SpGemmAAtSymmetric,
 //    SpGemmSymmetricSum, MirrorUpperTriangle), which compute only the upper
 //    triangle of the provably symmetric similarity products and mirror it —
@@ -73,14 +73,6 @@ Result<CsrMatrix> SpGemmAAt(const CsrMatrix& a,
 Result<CsrMatrix> SpGemmAAt(const CsrMatrix& a, const CsrMatrix& a_transpose,
                             const SpGemmOptions& options = {});
 
-/// \brief C = Aᵀ * A (co-citation pattern, Small 1973).
-Result<CsrMatrix> SpGemmAtA(const CsrMatrix& a,
-                            const SpGemmOptions& options = {});
-
-/// As above with a precomputed transpose of `a`.
-Result<CsrMatrix> SpGemmAtA(const CsrMatrix& a, const CsrMatrix& a_transpose,
-                            const SpGemmOptions& options = {});
-
 /// \brief Upper triangle of the scaled symmetric product
 /// U = D_r A D_c² Aᵀ D_r, i.e. U(i,j) = Σ_k m(i,k)·m(j,k) for j ≥ i with
 ///
@@ -133,8 +125,8 @@ Result<CsrMatrix> SpGemmAAtSymmetricUpdateRows(
 /// merges the triangles entrywise, applies `options.threshold` (entries with
 /// |value| < threshold dropped; threshold <= 0 keeps everything) and
 /// `options.drop_diagonal` in the same pass, then mirrors the surviving
-/// triangle into a full symmetric CSR. This replaces the reference path's
-/// separate CsrMatrix::Add and CsrMatrix::Pruned materializations.
+/// triangle into a full symmetric CSR — one pass instead of separate
+/// CsrMatrix::Add and CsrMatrix::Pruned materializations.
 Result<CsrMatrix> SpGemmSymmetricSum(const CsrMatrix& upper_b,
                                      const CsrMatrix& upper_c,
                                      const SpGemmOptions& options = {});

@@ -1,8 +1,9 @@
 // Internal machinery shared by the in-memory SpGEMM kernels (spgemm.cc)
 // and the out-of-core tiled driver (spgemm_tiled.cc): per-worker
-// workspaces, the per-row Gustavson / upper-triangle kernels, and the
-// two-pass row assembly. NOT part of the public API — include only from
-// linalg kernel translation units.
+// workspaces, the per-row Gustavson / upper-triangle kernels, the two-pass
+// row assembly, the row-range upper-product pass and the row merge. NOT
+// part of the public API — include only from linalg kernel translation
+// units.
 //
 // Bit-identity contract: every function here computes a row's entries as
 // a pure function of (inputs, row, options) with a fixed inner k-order,
@@ -14,6 +15,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "linalg/csr_matrix.h"
@@ -22,6 +24,7 @@
 #include "util/budget.h"
 #include "util/parallel_audit.h"
 #include "util/radix.h"
+#include "util/result.h"
 #include "util/thread_pool.h"
 
 namespace dgc {
@@ -256,6 +259,96 @@ inline int64_t AssemblyBytes(Index rows,
   return 2 * entries *
              static_cast<int64_t>(sizeof(Index) + sizeof(Scalar)) +
          (static_cast<int64_t>(rows) + 1) * static_cast<int64_t>(sizeof(Offset));
+}
+
+/// The row-range upper-product pass: rows [lo, hi) of the upper triangle
+/// over (a, at) through ComputeUpperRow into the workers' buffers (pass 1),
+/// then assembled into a (hi - lo)-row CSR with global column ids. The one
+/// loop behind SpGemmAAtSymmetric (a single range over every row) and each
+/// tile of SymmetricProductSum. Charges the assembly working set against
+/// the cancel token's ledger. Workspaces may be reused across calls:
+/// buffered rows are cleared and marker stamps invalidated first (a sibling
+/// product over the same row ids would otherwise see stale stamps); the
+/// `dropped` tally keeps accumulating.
+inline Result<CsrMatrix> ComputeUpperRows(
+    const CsrMatrix& a, const CsrMatrix& at,
+    std::span<const Scalar> row_scale, std::span<const Scalar> col_scale,
+    Index lo, Index hi, const SpGemmOptions& options, int threads,
+    std::vector<SpGemmWorkspace>& workspaces, const char* context) {
+  const Index n = a.rows();
+  for (SpGemmWorkspace& w : workspaces) {
+    w.ClearBufferedRows();
+    w.ResetMarkers();
+  }
+  std::vector<Offset> row_nnz(static_cast<size_t>(hi - lo), 0);
+  ParallelForWorkers(
+      lo, hi, threads, /*grain=*/0, [&](int worker, int64_t wlo, int64_t whi) {
+        if (Cancelled(options.cancel)) return;  // skip the chunk, not a row
+        SpGemmWorkspace& w = workspaces[static_cast<size_t>(worker)];
+        w.EnsureSize(n);
+        audit::AuditSpan audit_nnz(row_nnz.data() + (wlo - lo),
+                                   static_cast<size_t>(whi - wlo),
+                                   "upper.row_nnz");
+        for (int64_t r = wlo; r < whi; ++r) {
+          const size_t before = w.cols.size();
+          ComputeUpperRow(a, at, row_scale, col_scale, static_cast<Index>(r),
+                          options, w);
+          row_nnz[static_cast<size_t>(r - lo)] =
+              static_cast<Offset>(w.cols.size() - before);
+          w.rows.push_back(static_cast<Index>(r));
+        }
+      });
+  if (Cancelled(options.cancel)) return options.cancel->status();
+  MemoryCharge assembly_charge(options.cancel,
+                               AssemblyBytes(hi - lo, workspaces));
+  if (assembly_charge.exceeded()) return options.cancel->status();
+  return AssembleRows(hi - lo, n, threads, workspaces, row_nnz,
+                      /*row_base=*/lo, context);
+}
+
+/// Appends global row `row` of prune(B + C) to cols / vals: the two-pointer
+/// merge of upper-triangle rows b.row(local) and c.row(local) in ascending
+/// column order — the order CsrMatrix::Add visits, so shared entries sum
+/// with identical rounding — dropping |v| < options.threshold (when > 0)
+/// and, with options.drop_diagonal, the diagonal. Returns the threshold
+/// drops. The one merge behind SpGemmSymmetricSum and the tiled driver.
+inline int64_t MergeUpperRow(const CsrMatrix& b, const CsrMatrix& c,
+                             Index local, Index row,
+                             const SpGemmOptions& options,
+                             std::vector<Index>& cols,
+                             std::vector<Scalar>& vals) {
+  auto bc = b.RowCols(local);
+  auto bv = b.RowValues(local);
+  auto cc = c.RowCols(local);
+  auto cv = c.RowValues(local);
+  int64_t dropped = 0;
+  size_t i = 0, j = 0;
+  while (i < bc.size() || j < cc.size()) {
+    Index col;
+    Scalar v;
+    if (j >= cc.size() || (i < bc.size() && bc[i] < cc[j])) {
+      col = bc[i];
+      v = bv[i];
+      ++i;
+    } else if (i >= bc.size() || cc[j] < bc[i]) {
+      col = cc[j];
+      v = cv[j];
+      ++j;
+    } else {
+      col = bc[i];
+      v = bv[i] + cv[j];
+      ++i;
+      ++j;
+    }
+    if (options.threshold > 0.0 && std::abs(v) < options.threshold) {
+      ++dropped;
+      continue;
+    }
+    if (options.drop_diagonal && col == row) continue;
+    cols.push_back(col);
+    vals.push_back(v);
+  }
+  return dropped;
 }
 
 /// Attaches the shared post-pass-1 instrumentation: deterministic

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -13,16 +12,13 @@
 
 #include "linalg/spgemm_impl.h"
 #include "obs/span.h"
-#include "util/logging.h"
-#include "util/parallel_audit.h"
 #include "util/thread_pool.h"
 
 namespace dgc {
 
-using spgemm_internal::AssembleRows;
-using spgemm_internal::AssemblyBytes;
 using spgemm_internal::Cancelled;
-using spgemm_internal::ComputeUpperRow;
+using spgemm_internal::ComputeUpperRows;
+using spgemm_internal::MergeUpperRow;
 using spgemm_internal::SpGemmWorkspace;
 
 namespace {
@@ -139,49 +135,6 @@ class Spool {
   int64_t bytes_written_ = 0;
 };
 
-/// One row block [lo, hi) of the upper-triangle product over (a, at),
-/// through the exact per-row kernel of SpGemmAAtSymmetric. The returned
-/// CSR has hi - lo rows (local) and n columns (global indices).
-Result<CsrMatrix> ComputeUpperTile(const CsrMatrix& a, const CsrMatrix& at,
-                                   std::span<const Scalar> row_scale,
-                                   std::span<const Scalar> col_scale,
-                                   Index lo, Index hi,
-                                   const SpGemmOptions& options, int threads,
-                                   std::vector<SpGemmWorkspace>& workspaces) {
-  const Index n = a.rows();
-  for (SpGemmWorkspace& w : workspaces) {
-    w.ClearBufferedRows();
-    // The sibling product of this tile reuses the same global row ids, so
-    // stale stamps from the previous pass must be invalidated (see
-    // SpGemmWorkspace::ResetMarkers).
-    w.ResetMarkers();
-  }
-  std::vector<Offset> row_nnz(static_cast<size_t>(hi - lo), 0);
-  ParallelForWorkers(
-      lo, hi, threads, /*grain=*/0, [&](int worker, int64_t wlo, int64_t whi) {
-        if (Cancelled(options.cancel)) return;  // skip the chunk, not a row
-        SpGemmWorkspace& w = workspaces[static_cast<size_t>(worker)];
-        w.EnsureSize(n);
-        audit::AuditSpan audit_nnz(row_nnz.data() + (wlo - lo),
-                                   static_cast<size_t>(whi - wlo),
-                                   "tiled.row_nnz");
-        for (int64_t r = wlo; r < whi; ++r) {
-          const size_t before = w.cols.size();
-          ComputeUpperRow(a, at, row_scale, col_scale, static_cast<Index>(r),
-                          options, w);
-          row_nnz[static_cast<size_t>(r - lo)] =
-              static_cast<Offset>(w.cols.size() - before);
-          w.rows.push_back(static_cast<Index>(r));
-        }
-      });
-  if (Cancelled(options.cancel)) return options.cancel->status();
-  MemoryCharge assembly_charge(options.cancel,
-                               AssemblyBytes(hi - lo, workspaces));
-  if (assembly_charge.exceeded()) return options.cancel->status();
-  return AssembleRows(hi - lo, n, threads, workspaces, row_nnz,
-                      /*row_base=*/lo, "TiledSymmetricProductSum(tile)");
-}
-
 Status CheckTransposePair(const char* who, const CsrMatrix& a,
                           const CsrMatrix& at) {
   if (a.rows() != a.cols()) {
@@ -286,12 +239,12 @@ int64_t EstimateInMemorySymmetricSumBytes(const CsrMatrix& a,
   return SaturatingAdd(AccumulatorBytes(threads, n), assembly);
 }
 
-Result<CsrMatrix> TiledSymmetricProductSum(
+Result<CsrMatrix> SymmetricProductSum(
     const CsrMatrix& a, const CsrMatrix& at,
     std::span<const Scalar> b_row_scale, std::span<const Scalar> b_col_scale,
     std::span<const Scalar> c_row_scale, std::span<const Scalar> c_col_scale,
     const TiledSymmetricSumOptions& options) {
-  constexpr const char* kWho = "TiledSymmetricProductSum";
+  constexpr const char* kWho = "SymmetricProductSum";
   Status s = CheckTransposePair(kWho, a, at);
   if (!s.ok()) return s;
   const Index n = a.rows();
@@ -303,17 +256,38 @@ Result<CsrMatrix> TiledSymmetricProductSum(
   if (!s.ok()) return s;
   s = CheckScale(kWho, "c_col_scale", c_col_scale, n);
   if (!s.ok()) return s;
-  const int threads = static_cast<int>(std::min<int64_t>(
-      ResolveNumThreads(options.num_threads), std::max<Index>(n, 1)));
   CancelToken* cancel = options.cancel;
 
-  StageSpan span(options.metrics, "tiled_spgemm");
+  // The Section 3.5 split: each product pruned at t / 2, the sum at t.
+  SpGemmOptions product_options;
+  product_options.threshold = options.threshold / 2.0;
+  product_options.drop_diagonal = true;
+  product_options.num_threads = options.num_threads;
+  product_options.cancel = cancel;
+  SpGemmOptions sum_options = product_options;
+  sum_options.threshold = options.threshold;
+
   const TilePlan plan = PlanRowTiles(a, at, options);
   const size_t tiles = plan.cuts.size() - 1;
+  if (tiles <= 1) {
+    // One tile: the in-memory kernels, with their own spans.
+    product_options.metrics = options.metrics;
+    sum_options.metrics = options.metrics;
+    DGC_ASSIGN_OR_RETURN(CsrMatrix b_upper,
+                         SpGemmAAtSymmetric(a, b_row_scale, b_col_scale,
+                                            product_options, &at));
+    DGC_ASSIGN_OR_RETURN(CsrMatrix c_upper,
+                         SpGemmAAtSymmetric(at, c_row_scale, c_col_scale,
+                                            product_options, &a));
+    return SpGemmSymmetricSum(b_upper, c_upper, sum_options);
+  }
+
+  const int threads = static_cast<int>(std::min<int64_t>(
+      ResolveNumThreads(options.num_threads), std::max<Index>(n, 1)));
+  StageSpan span(options.metrics, "tiled_spgemm");
   if (span.live()) {
     span.Metric("rows", n);
-    span.Metric("product_threshold", options.product_threshold);
-    span.Metric("sum_threshold", options.sum_threshold);
+    span.Metric("threshold", options.threshold);
     // Tile geometry depends on the resolved thread count when derived from
     // a budget (accumulator bytes scale with workers), so it is perf-class.
     span.PerfMetric("tiles", static_cast<int64_t>(tiles));
@@ -329,19 +303,14 @@ Result<CsrMatrix> TiledSymmetricProductSum(
   s = spool.Create(options.spill_dir);
   if (!s.ok()) return s;
 
-  SpGemmOptions product_options;
-  product_options.threshold = options.product_threshold;
-  product_options.drop_diagonal = options.product_drop_diagonal;
-  product_options.num_threads = options.num_threads;
-  product_options.cancel = cancel;
-
   std::vector<SpGemmWorkspace> workspaces(static_cast<size_t>(threads));
   std::vector<Offset> row_nnz(static_cast<size_t>(n), 0);
   std::vector<int64_t> tile_entries(tiles, 0);
   int64_t merge_dropped = 0;
 
-  // Tile loop: both products for the block, per-row two-pointer merge +
-  // prune (byte-for-byte the SpGemmSymmetricSum pass-1 loop), spill.
+  // Tile loop: both products for the block, the serial per-row merge +
+  // prune, spill. The merge stays serial so a tile's transient set is the
+  // kTileBytesPerEntry model.
   std::vector<Index> merged_cols;
   std::vector<Scalar> merged_vals;
   for (size_t t = 0; t < tiles; ++t) {
@@ -350,8 +319,9 @@ Result<CsrMatrix> TiledSymmetricProductSum(
     if (Cancelled(cancel)) return cancel->status();
     DGC_ASSIGN_OR_RETURN(
         CsrMatrix b_tile,
-        ComputeUpperTile(a, at, b_row_scale, b_col_scale, lo, hi,
-                         product_options, threads, workspaces));
+        ComputeUpperRows(a, at, b_row_scale, b_col_scale, lo, hi,
+                         product_options, threads, workspaces,
+                         "SymmetricProductSum(tile)"));
     // Keep the finished block on the ledger while the sibling product and
     // the merge still run.
     MemoryCharge b_live(cancel,
@@ -360,8 +330,9 @@ Result<CsrMatrix> TiledSymmetricProductSum(
     if (b_live.exceeded()) return cancel->status();
     DGC_ASSIGN_OR_RETURN(
         CsrMatrix c_tile,
-        ComputeUpperTile(at, a, c_row_scale, c_col_scale, lo, hi,
-                         product_options, threads, workspaces));
+        ComputeUpperRows(at, a, c_row_scale, c_col_scale, lo, hi,
+                         product_options, threads, workspaces,
+                         "SymmetricProductSum(tile)"));
     MemoryCharge c_live(cancel,
                         c_tile.nnz() * static_cast<int64_t>(sizeof(Index) +
                                                             sizeof(Scalar)));
@@ -371,37 +342,8 @@ Result<CsrMatrix> TiledSymmetricProductSum(
     merged_vals.clear();
     for (Index r = lo; r < hi; ++r) {
       const size_t before = merged_cols.size();
-      auto bc = b_tile.RowCols(r - lo);
-      auto bv = b_tile.RowValues(r - lo);
-      auto cc = c_tile.RowCols(r - lo);
-      auto cv = c_tile.RowValues(r - lo);
-      size_t i = 0, j = 0;
-      while (i < bc.size() || j < cc.size()) {
-        Index col;
-        Scalar v;
-        if (j >= cc.size() || (i < bc.size() && bc[i] < cc[j])) {
-          col = bc[i];
-          v = bv[i];
-          ++i;
-        } else if (i >= bc.size() || cc[j] < bc[i]) {
-          col = cc[j];
-          v = cv[j];
-          ++j;
-        } else {
-          col = bc[i];
-          v = bv[i] + cv[j];
-          ++i;
-          ++j;
-        }
-        if (options.sum_threshold > 0.0 &&
-            std::abs(v) < options.sum_threshold) {
-          ++merge_dropped;
-          continue;
-        }
-        if (options.sum_drop_diagonal && col == r) continue;
-        merged_cols.push_back(col);
-        merged_vals.push_back(v);
-      }
+      merge_dropped += MergeUpperRow(b_tile, c_tile, r - lo, r, sum_options,
+                                     merged_cols, merged_vals);
       row_nnz[static_cast<size_t>(r)] =
           static_cast<Offset>(merged_cols.size() - before);
     }
@@ -452,7 +394,7 @@ Result<CsrMatrix> TiledSymmetricProductSum(
   }
   CsrMatrix merged = CsrMatrix::FromPartsUnchecked(
       n, n, std::move(row_ptr), std::move(col_idx), std::move(values));
-  merged.ValidateStructure("TiledSymmetricProductSum(merge)");
+  merged.ValidateStructure("SymmetricProductSum(merge)");
   if (span.live()) {
     int64_t product_dropped = 0;
     for (const SpGemmWorkspace& w : workspaces) product_dropped += w.dropped;
@@ -467,56 +409,6 @@ Result<CsrMatrix> TiledSymmetricProductSum(
   Result<CsrMatrix> full = MirrorUpperTriangle(merged, options.num_threads);
   if (full.ok()) span.Metric("output_nnz", full->nnz());
   return full;
-}
-
-Result<CsrMatrix> SpGemmAAtSymmetricTiled(const CsrMatrix& a,
-                                          std::span<const Scalar> row_scale,
-                                          std::span<const Scalar> col_scale,
-                                          const SpGemmOptions& options,
-                                          const CsrMatrix& a_transpose,
-                                          Index tile_rows) {
-  constexpr const char* kWho = "SpGemmAAtSymmetricTiled";
-  Status s = CheckTransposePair(kWho, a, a_transpose);
-  if (!s.ok()) return s;
-  const Index n = a.rows();
-  s = CheckScale(kWho, "row_scale", row_scale, n);
-  if (!s.ok()) return s;
-  s = CheckScale(kWho, "col_scale", col_scale, n);
-  if (!s.ok()) return s;
-  if (tile_rows <= 0) {
-    return Status::InvalidArgument(std::string(kWho) +
-                                   ": tile_rows must be positive, got " +
-                                   std::to_string(tile_rows));
-  }
-  const int threads = static_cast<int>(std::min<int64_t>(
-      ResolveNumThreads(options.num_threads), std::max<Index>(n, 1)));
-  if (Cancelled(options.cancel)) return options.cancel->status();
-  MemoryCharge accum_charge(options.cancel, AccumulatorBytes(threads, n));
-  if (accum_charge.exceeded()) return options.cancel->status();
-
-  std::vector<SpGemmWorkspace> workspaces(static_cast<size_t>(threads));
-  std::vector<Offset> row_ptr(static_cast<size_t>(n) + 1, 0);
-  std::vector<Index> col_idx;
-  std::vector<Scalar> values;
-  for (Index lo = 0; lo < n; lo += tile_rows) {
-    const Index hi = std::min<Index>(n, lo + tile_rows);
-    if (Cancelled(options.cancel)) return options.cancel->status();
-    DGC_ASSIGN_OR_RETURN(CsrMatrix tile,
-                         ComputeUpperTile(a, a_transpose, row_scale,
-                                          col_scale, lo, hi, options, threads,
-                                          workspaces));
-    for (Index r = lo; r < hi; ++r) {
-      row_ptr[static_cast<size_t>(r) + 1] =
-          row_ptr[static_cast<size_t>(r)] + tile.RowNnz(r - lo);
-    }
-    col_idx.insert(col_idx.end(), tile.col_idx().begin(),
-                   tile.col_idx().end());
-    values.insert(values.end(), tile.values().begin(), tile.values().end());
-  }
-  CsrMatrix upper = CsrMatrix::FromPartsUnchecked(
-      n, n, std::move(row_ptr), std::move(col_idx), std::move(values));
-  upper.ValidateStructure(kWho);
-  return upper;
 }
 
 }  // namespace dgc

@@ -1,14 +1,14 @@
-// Out-of-core tiled execution of the fused symmetric SpGEMM pipeline
-// (docs/OUT_OF_CORE.md): the row space is partitioned into blocks sized
-// from a byte budget, each block runs through the exact per-row kernels of
-// spgemm.cc (unchanged inner k-order), finished upper-triangle blocks are
-// spilled to a temp-file spool, and one final sequential pass stitches the
-// spool into the mirrored output CSR.
+// The symmetric product-sum driver behind both similarity symmetrizations
+// (docs/OUT_OF_CORE.md): U = mirror(prune(B + C)) over row-block tiles.
+// A one-tile plan runs the in-memory kernels (SpGemmAAtSymmetric twice,
+// then SpGemmSymmetricSum). With several tiles, each block runs through the
+// same row-range pass and row merge (spgemm_impl.h), finished
+// upper-triangle blocks are spilled to a temp-file spool, and one final
+// sequential pass stitches the spool into the mirrored output CSR.
 //
 // Because every row is a pure function of (A, Aᵀ, scales, row, options)
-// and tiles concatenate in row order, the result is bit-identical to the
-// in-memory SpGemmAAtSymmetric + SpGemmSymmetricSum path at any thread
-// count and any tile size — only the peak memory differs.
+// and tiles concatenate in row order, the result is bit-identical at any
+// thread count and any tile size — only the peak memory differs.
 #pragma once
 
 #include <cstdint>
@@ -25,18 +25,13 @@ namespace dgc {
 
 class MetricsRegistry;
 
-/// Options for the tiled symmetric product-sum driver.
+/// Options for the symmetric product-sum driver.
 struct TiledSymmetricSumOptions {
-  /// Per-product magnitude threshold (the in-memory path's
-  /// product_options.threshold; the degree-discounted symmetrization uses
-  /// prune_threshold / 2 here).
-  Scalar product_threshold = 0.0;
-  /// Drop diagonal entries of each product triangle.
-  bool product_drop_diagonal = false;
-  /// Threshold applied to the merged sum B + C before mirroring.
-  Scalar sum_threshold = 0.0;
-  /// Drop diagonal entries of the merged sum.
-  bool sum_drop_diagonal = false;
+  /// Prune threshold t of the Section 3.5 split: each product drops
+  /// entries below t / 2, the merged sum B + C drops entries below t.
+  /// Diagonal entries are dropped from both (similarity graphs carry no
+  /// self-loops).
+  Scalar threshold = 0.0;
 
   /// Threads for the row-parallel tile passes (SpGemmOptions semantics:
   /// 1 = serial, 0 = one per core). Bit-identical for every setting.
@@ -52,8 +47,9 @@ struct TiledSymmetricSumOptions {
   /// Directory for the spool file; empty uses the system temp directory.
   std::string spill_dir;
 
-  /// Optional observability sink: records a "tiled_spgemm" stage span with
-  /// tile-count and spill-bytes metrics.
+  /// Optional observability sink: a one-tile plan records the in-memory
+  /// kernels' spans; several tiles record one "tiled_spgemm" stage span
+  /// with tile-count and spill-bytes metrics.
   MetricsRegistry* metrics = nullptr;
   /// Optional cooperative cancellation / memory ledger (util/budget.h).
   CancelToken* cancel = nullptr;
@@ -76,7 +72,7 @@ struct TilePlan {
 std::vector<int64_t> EstimateUpperRowEntries(const CsrMatrix& a,
                                              const CsrMatrix& at);
 
-/// \brief Plans the row partition for TiledSymmetricProductSum: fixed
+/// \brief Plans the row partition for SymmetricProductSum: fixed
 /// `tile_rows` cuts when pinned, otherwise greedy accumulation of the
 /// per-row cost model (docs/OUT_OF_CORE.md) against the budget-derived
 /// per-tile byte target. A single row always fits (a hub row larger than
@@ -96,37 +92,24 @@ int64_t EstimateInMemorySymmetricSumBytes(const CsrMatrix& a,
                                           const CsrMatrix& at,
                                           int num_threads);
 
-/// \brief Full out-of-core fused symmetrization core:
+/// \brief The fused similarity core:
 ///
 ///   mirror(prune(B + C)),  B = upper(D_br A D_bc² Aᵀ D_br) over (a, at),
-///                          C = upper(D_cr Aᵀ D_cc² A D_cr) over (at, a),
+///                          C = upper(D_cr Aᵀ D_cc² A D_cr) over (at, a).
 ///
-/// computed tile-by-tile: each row block runs the fused upper-row kernel
-/// for both products, merges and prunes the block, and spills it to the
-/// spool; the final pass stitches the spool into the merged triangle and
-/// mirrors it. Empty scale spans skip that scaling (the bibliometric
-/// case). `a` must be square and `at` its transpose.
-///
-/// Output is bit-identical to
-///   SpGemmSymmetricSum(SpGemmAAtSymmetric(a, ..., &at),
-///                      SpGemmAAtSymmetric(at, ..., &a))
-/// at any thread count and tile size.
-Result<CsrMatrix> TiledSymmetricProductSum(
+/// Empty scale spans skip that scaling (the bibliometric case). `a` must be
+/// square and `at` its transpose. PlanRowTiles decides the geometry:
+///  * one tile: SpGemmSymmetricSum(SpGemmAAtSymmetric(a, ..., &at),
+///    SpGemmAAtSymmetric(at, ..., &a)) — no spool file, no "tiled_spgemm"
+///    span;
+///  * several tiles: each row block computes both products, merges and
+///    prunes the block and spills it; the final pass stitches the spool
+///    into the merged triangle and mirrors it.
+/// The output is bit-identical at any thread count and tile size.
+Result<CsrMatrix> SymmetricProductSum(
     const CsrMatrix& a, const CsrMatrix& at,
     std::span<const Scalar> b_row_scale, std::span<const Scalar> b_col_scale,
     std::span<const Scalar> c_row_scale, std::span<const Scalar> c_col_scale,
     const TiledSymmetricSumOptions& options);
-
-/// \brief Tiled (in-memory, no spool) variant of SpGemmAAtSymmetric:
-/// computes the upper triangle in row blocks of `tile_rows` and
-/// concatenates them. Bit-identical to SpGemmAAtSymmetric for every
-/// tile_rows >= 1; exists so tests and benches can isolate the tiling
-/// overhead from spool I/O.
-Result<CsrMatrix> SpGemmAAtSymmetricTiled(const CsrMatrix& a,
-                                          std::span<const Scalar> row_scale,
-                                          std::span<const Scalar> col_scale,
-                                          const SpGemmOptions& options,
-                                          const CsrMatrix& a_transpose,
-                                          Index tile_rows);
 
 }  // namespace dgc

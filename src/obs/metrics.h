@@ -75,7 +75,7 @@ class Histogram {
 };
 
 /// A value attached to a stage span: integer, floating-point, or a short
-/// annotation string (e.g. engine="fused").
+/// annotation string (e.g. method="Bibliometric").
 using SpanValue = std::variant<int64_t, double, std::string>;
 
 /// One node of the span tree. Built by StageSpan (obs/span.h); consumed by

@@ -63,7 +63,7 @@ class StageSpan {
     if (registry_ == nullptr) return;
     registry_->SpanMetric(node_, key, value, /*perf=*/false);
   }
-  /// String annotation (method names, engine selection, ...).
+  /// String annotation (method names, algorithm names, ...).
   void Metric(std::string_view key, std::string_view value) {
     if (registry_ == nullptr) return;
     registry_->SpanMetric(node_, key, std::string(value), /*perf=*/false);

@@ -179,7 +179,7 @@ TEST(SpGemmTest, AAtIsExactlySymmetric) {
 
 TEST(SpGemmTest, AtAIsExactlySymmetric) {
   CsrMatrix a = Random(40, 25, 300, 6);
-  auto c = SpGemmAtA(a);
+  auto c = SpGemm(a.Transpose(), a);
   ASSERT_TRUE(c.ok());
   EXPECT_TRUE(c->IsSymmetric(0.0));
   EXPECT_EQ(c->rows(), 25);

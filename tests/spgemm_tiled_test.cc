@@ -1,11 +1,11 @@
-// Unit tests for the out-of-core tiled SpGEMM driver
-// (linalg/spgemm_tiled.h). The load-bearing contract is bit-identity: at
-// every tile size, thread count and budget, TiledSymmetricProductSum /
-// SpGemmAAtSymmetricTiled must reproduce the in-memory fused path
-// byte-for-byte — EXPECT on row_ptr/col_idx equality plus memcmp on the
-// value bytes, never a tolerance. Also covered: the deterministic row
-// partition, the spool lifecycle (spill files cleaned up, spill_dir
-// honored), budget-ledger cancellation, and the "tiled_spgemm" span.
+// Unit tests for the symmetric product-sum driver (linalg/spgemm_tiled.h).
+// The load-bearing contract is bit-identity: at every tile size, thread
+// count and budget, SymmetricProductSum must reproduce the in-memory fused
+// path byte-for-byte — EXPECT on row_ptr/col_idx equality plus memcmp on
+// the value bytes, never a tolerance. Also covered: the deterministic row
+// partition, the one-tile plan (in-memory kernels, no spool), the spool
+// lifecycle (spill files cleaned up, spill_dir honored), budget-ledger
+// cancellation, and the "tiled_spgemm" span.
 #include "linalg/spgemm_tiled.h"
 
 #include <gtest/gtest.h>
@@ -72,16 +72,16 @@ CsrMatrix InMemoryProductSum(const CsrMatrix& a, const CsrMatrix& at,
                              std::span<const Scalar> c_col,
                              const TiledSymmetricSumOptions& options) {
   SpGemmOptions product;
-  product.threshold = options.product_threshold;
-  product.drop_diagonal = options.product_drop_diagonal;
+  product.threshold = options.threshold / 2.0;
+  product.drop_diagonal = true;
   product.num_threads = options.num_threads;
   auto b = SpGemmAAtSymmetric(a, b_row, b_col, product, &at);
   EXPECT_TRUE(b.ok()) << b.status();
   auto c = SpGemmAAtSymmetric(at, c_row, c_col, product, &a);
   EXPECT_TRUE(c.ok()) << c.status();
   SpGemmOptions sum;
-  sum.threshold = options.sum_threshold;
-  sum.drop_diagonal = options.sum_drop_diagonal;
+  sum.threshold = options.threshold;
+  sum.drop_diagonal = true;
   sum.num_threads = options.num_threads;
   auto merged = SpGemmSymmetricSum(*b, *c, sum);
   EXPECT_TRUE(merged.ok()) << merged.status();
@@ -158,10 +158,7 @@ class TiledEquivalenceTest : public ::testing::Test {
 
 TEST_F(TiledEquivalenceTest, MatchesInMemoryAcrossTileSizesAndThreads) {
   TiledSymmetricSumOptions base;
-  base.product_threshold = 0.05;
-  base.product_drop_diagonal = true;
-  base.sum_threshold = 0.1;
-  base.sum_drop_diagonal = true;
+  base.threshold = 0.1;
   const std::vector<Scalar> so = RandomScale(n_, 11);
   const std::vector<Scalar> si = RandomScale(n_, 12);
   const std::vector<Scalar> sqrt_so = Sqrt(so);
@@ -175,8 +172,8 @@ TEST_F(TiledEquivalenceTest, MatchesInMemoryAcrossTileSizesAndThreads) {
       TiledSymmetricSumOptions options = base;
       options.tile_rows = tile_rows;
       options.num_threads = threads;
-      auto tiled = TiledSymmetricProductSum(a_, at_, so, sqrt_si, si, sqrt_so,
-                                            options);
+      auto tiled =
+          SymmetricProductSum(a_, at_, so, sqrt_si, si, sqrt_so, options);
       ASSERT_TRUE(tiled.ok()) << tiled.status();
       ExpectBitIdentical(*tiled, expected,
                          "tile_rows=" + std::to_string(tile_rows) +
@@ -187,52 +184,85 @@ TEST_F(TiledEquivalenceTest, MatchesInMemoryAcrossTileSizesAndThreads) {
   // force several tiles must also match.
   TiledSymmetricSumOptions auto_tiles = base;
   auto_tiles.max_memory_bytes = 1 << 20;
-  auto tiled = TiledSymmetricProductSum(a_, at_, so, sqrt_si, si, sqrt_so,
-                                        auto_tiles);
+  auto tiled =
+      SymmetricProductSum(a_, at_, so, sqrt_si, si, sqrt_so, auto_tiles);
   ASSERT_TRUE(tiled.ok()) << tiled.status();
   ExpectBitIdentical(*tiled, expected, "budget-derived tiles");
 }
 
 TEST_F(TiledEquivalenceTest, BibliometricStyleEmptyScalesMatch) {
   TiledSymmetricSumOptions base;
-  base.product_threshold = 1.0;
-  base.product_drop_diagonal = true;
-  base.sum_threshold = 2.0;
-  base.sum_drop_diagonal = true;
+  base.threshold = 2.0;
   const CsrMatrix expected =
       InMemoryProductSum(a_, at_, {}, {}, {}, {}, base);
   for (Index tile_rows : {Index{33}, n_}) {
     TiledSymmetricSumOptions options = base;
     options.tile_rows = tile_rows;
-    auto tiled = TiledSymmetricProductSum(a_, at_, {}, {}, {}, {}, options);
+    auto tiled = SymmetricProductSum(a_, at_, {}, {}, {}, {}, options);
     ASSERT_TRUE(tiled.ok()) << tiled.status();
     ExpectBitIdentical(*tiled, expected,
                        "tile_rows=" + std::to_string(tile_rows));
   }
 }
 
-TEST_F(TiledEquivalenceTest, AAtSymmetricTiledMatchesMonolithic) {
-  const std::vector<Scalar> row_scale = RandomScale(n_, 21);
-  const std::vector<Scalar> col_scale = RandomScale(n_, 22);
-  SpGemmOptions options;
-  options.threshold = 0.02;
-  options.drop_diagonal = true;
-  auto expected = SpGemmAAtSymmetric(a_, row_scale, col_scale, options, &at_);
-  ASSERT_TRUE(expected.ok());
+// The row-range upper-product pass is shared by the one-tile plan (one
+// range over every row) and every tile of the spool loop. Sweep tile
+// heights from one row per tile to a single oversized tile, with distinct
+// row and column scales on both products.
+TEST_F(TiledEquivalenceTest, RowRangeProductsMatchAtEveryTileHeight) {
+  const std::vector<Scalar> b_row = RandomScale(n_, 21);
+  const std::vector<Scalar> b_col = RandomScale(n_, 22);
+  const std::vector<Scalar> c_row = RandomScale(n_, 23);
+  const std::vector<Scalar> c_col = RandomScale(n_, 24);
+  TiledSymmetricSumOptions base;
+  base.threshold = 0.04;
+  const CsrMatrix expected =
+      InMemoryProductSum(a_, at_, b_row, b_col, c_row, c_col, base);
+  ASSERT_GT(expected.nnz(), 0);
   for (Index tile_rows : {Index{1}, Index{17}, n_, 2 * n_}) {
     for (int threads : {1, 0}) {
-      SpGemmOptions topts = options;
-      topts.num_threads = threads;
-      auto tiled = SpGemmAAtSymmetricTiled(a_, row_scale, col_scale, topts,
-                                           at_, tile_rows);
-      ASSERT_TRUE(tiled.ok()) << tiled.status();
-      ExpectBitIdentical(*tiled, *expected,
+      TiledSymmetricSumOptions options = base;
+      options.tile_rows = tile_rows;
+      options.num_threads = threads;
+      auto summed =
+          SymmetricProductSum(a_, at_, b_row, b_col, c_row, c_col, options);
+      ASSERT_TRUE(summed.ok()) << summed.status();
+      ExpectBitIdentical(*summed, expected,
                          "tile_rows=" + std::to_string(tile_rows) +
                              " threads=" + std::to_string(threads));
     }
   }
-  EXPECT_FALSE(
-      SpGemmAAtSymmetricTiled(a_, row_scale, col_scale, options, at_, 0).ok());
+}
+
+// A one-tile plan runs the in-memory kernels: no spool file is opened, so
+// an unusable spill_dir does not matter, and no "tiled_spgemm" span is
+// recorded. Two tiles need the spool and fail cleanly.
+TEST_F(TiledEquivalenceTest, OneTilePlanOpensNoSpool) {
+  TiledSymmetricSumOptions options;
+  options.threshold = 0.5;
+  options.spill_dir = "/proc/definitely/not/writable";
+  const CsrMatrix expected =
+      InMemoryProductSum(a_, at_, {}, {}, {}, {}, options);
+  for (Index tile_rows : {n_, 2 * n_}) {
+    MetricsRegistry registry;
+    options.tile_rows = tile_rows;
+    options.metrics = &registry;
+    auto summed = SymmetricProductSum(a_, at_, {}, {}, {}, {}, options);
+    ASSERT_TRUE(summed.ok()) << summed.status();
+    ExpectBitIdentical(*summed, expected,
+                       "tile_rows=" + std::to_string(tile_rows));
+    bool has_products = false;
+    for (const SpanNode& span : registry.Spans()) {
+      EXPECT_NE(span.name, "tiled_spgemm");
+      if (span.name == "spgemm.aat_symmetric") has_products = true;
+    }
+    EXPECT_TRUE(has_products);
+  }
+  options.tile_rows = n_ / 2;
+  options.metrics = nullptr;
+  auto spooled = SymmetricProductSum(a_, at_, {}, {}, {}, {}, options);
+  ASSERT_FALSE(spooled.ok());
+  EXPECT_TRUE(spooled.status().IsIOError()) << spooled.status();
 }
 
 TEST_F(TiledEquivalenceTest, SpillDirIsHonoredAndCleaned) {
@@ -241,10 +271,9 @@ TEST_F(TiledEquivalenceTest, SpillDirIsHonoredAndCleaned) {
       ("dgc_tiled_test_" + std::to_string(::getpid()));
   std::filesystem::create_directories(dir);
   TiledSymmetricSumOptions options;
-  options.sum_drop_diagonal = true;
   options.tile_rows = 50;
   options.spill_dir = dir.string();
-  auto tiled = TiledSymmetricProductSum(a_, at_, {}, {}, {}, {}, options);
+  auto tiled = SymmetricProductSum(a_, at_, {}, {}, {}, {}, options);
   ASSERT_TRUE(tiled.ok()) << tiled.status();
   // The spool must not outlive the call.
   size_t leftover = 0;
@@ -257,8 +286,7 @@ TEST_F(TiledEquivalenceTest, SpillDirIsHonoredAndCleaned) {
   // A spill_dir that cannot be created yields a clean error, not a crash.
   TiledSymmetricSumOptions bad = options;
   bad.spill_dir = "/proc/definitely/not/writable";
-  EXPECT_FALSE(
-      TiledSymmetricProductSum(a_, at_, {}, {}, {}, {}, bad).ok());
+  EXPECT_FALSE(SymmetricProductSum(a_, at_, {}, {}, {}, {}, bad).ok());
 }
 
 TEST_F(TiledEquivalenceTest, TinyMemoryBudgetTripsTheLedger) {
@@ -267,7 +295,7 @@ TEST_F(TiledEquivalenceTest, TinyMemoryBudgetTripsTheLedger) {
   TiledSymmetricSumOptions options;
   options.tile_rows = 64;
   options.cancel = &token;
-  auto tiled = TiledSymmetricProductSum(a_, at_, {}, {}, {}, {}, options);
+  auto tiled = SymmetricProductSum(a_, at_, {}, {}, {}, {}, options);
   ASSERT_FALSE(tiled.ok());
   EXPECT_TRUE(tiled.status().IsResourceExhausted()) << tiled.status();
 }
@@ -277,7 +305,7 @@ TEST_F(TiledEquivalenceTest, RecordsTiledSpgemmSpan) {
   TiledSymmetricSumOptions options;
   options.tile_rows = 40;
   options.metrics = &registry;
-  auto tiled = TiledSymmetricProductSum(a_, at_, {}, {}, {}, {}, options);
+  auto tiled = SymmetricProductSum(a_, at_, {}, {}, {}, {}, options);
   ASSERT_TRUE(tiled.ok());
   bool found = false;
   for (const SpanNode& span : registry.Spans()) {
@@ -317,13 +345,11 @@ TEST(TiledValidationTest, RejectsMismatchedInputs) {
   CsrMatrix wide =
       std::move(CsrMatrix::FromTriplets(30, 20, {Triplet{0, 1, 1.0}}))
           .ValueOrDie();
-  EXPECT_FALSE(
-      TiledSymmetricProductSum(a, wide, {}, {}, {}, {}, options).ok());
+  EXPECT_FALSE(SymmetricProductSum(a, wide, {}, {}, {}, {}, options).ok());
   // Scale vector of the wrong length.
   std::vector<Scalar> short_scale(10, 1.0);
-  EXPECT_FALSE(TiledSymmetricProductSum(a, at, short_scale, {}, {}, {},
-                                        options)
-                   .ok());
+  EXPECT_FALSE(
+      SymmetricProductSum(a, at, short_scale, {}, {}, {}, options).ok());
 }
 
 }  // namespace

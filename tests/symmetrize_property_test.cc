@@ -113,7 +113,7 @@ TEST_P(SymmetrizationProperty, PruningIsMonotone) {
     for (size_t e = 0; e < cols.size(); ++e) {
       // Surviving entries may underestimate the exact similarity by up to
       // threshold/2: the two addends (out-link and in-link similarity) are
-      // each pruned at threshold/2 before summation (see bibliometric.cc).
+      // each pruned at threshold/2 before summation (see similarity.cc).
       const Scalar exact = u_low->adjacency().At(i, cols[e]);
       EXPECT_LE(vals[e], exact + 1e-9);
       EXPECT_GE(vals[e], exact - high.prune_threshold / 2.0 - 1e-9);

@@ -82,8 +82,6 @@ Exit codes: 0 clean, 1 findings, 2 usage/environment error.
 --json FILE writes a machine-readable report regardless of outcome.
 """
 
-import argparse
-import json
 import os
 import re
 import sys
@@ -92,10 +90,8 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from dgc_lint import (  # noqa: E402  (path bootstrap above)
     Finding,
-    discover_files,
-    emit_github_annotations,
     is_under,
-    load_allowlist,
+    run_driver,
     strip_comments_and_strings,
 )
 
@@ -556,103 +552,12 @@ def analyze_file(relpath, raw_text, findings):
                     "instead")
 
 
-def is_allowlisted(finding, entries, raw_lines_by_file):
-    import fnmatch
-    lines = raw_lines_by_file.get(finding.path, [])
-    raw = lines[finding.line - 1] if finding.line - 1 < len(lines) else ""
-    m = INLINE_ALLOW_RE.search(raw)
-    if m and finding.rule in [r.strip() for r in m.group(1).split(",")]:
-        return True
-    for rule, glob, regex, _why in entries:
-        if rule != finding.rule and rule != "*":
-            continue
-        if not fnmatch.fnmatch(finding.path, glob):
-            continue
-        if regex.search(raw) or regex.pattern == "":
-            return True
-    return False
-
-
 def main(argv):
-    parser = argparse.ArgumentParser(
-        prog="dgc-analyze", description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--root", default=None,
-                        help="repo root (default: two dirs above this file)")
-    parser.add_argument("--compile-commands", default=None,
-                        help="compile_commands.json to union TUs from")
-    parser.add_argument("--allowlist", default=None,
-                        help="allowlist file (default: "
-                             "tools/lint/analyze_allowlist.txt under --root)")
-    parser.add_argument("--json", dest="json_out", default=None,
-                        help="write machine-readable findings report here")
-    parser.add_argument("paths", nargs="*",
-                        help="analyze only these files (relative to --root)")
-    args = parser.parse_args(argv)
-
-    root = os.path.abspath(
-        args.root or
-        os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", ".."))
-    if not os.path.isdir(root):
-        print(f"dgc-analyze: no such root: {root}", file=sys.stderr)
-        return 2
-    allowlist_path = args.allowlist or os.path.join(
-        root, "tools", "lint", "analyze_allowlist.txt")
-    entries, problems = load_allowlist(allowlist_path)
-
-    if args.paths:
-        files = sorted(set(args.paths))
-    else:
-        files = discover_files(root, args.compile_commands)
-    if not files:
-        print("dgc-analyze: no source files found", file=sys.stderr)
-        return 2
-
-    findings = []
-    raw_lines_by_file = {}
-    checked = 0
-    for rel in files:
-        full = os.path.join(root, rel)
-        try:
-            with open(full, encoding="utf-8", errors="replace") as f:
-                text = f.read()
-        except OSError as e:
-            print(f"dgc-analyze: cannot read {rel}: {e}", file=sys.stderr)
-            return 2
-        raw_lines_by_file[rel] = text.splitlines()
-        analyze_file(rel, text, findings)
-        checked += 1
-
-    kept, suppressed = [], 0
-    for finding in findings:
-        if is_allowlisted(finding, entries, raw_lines_by_file):
-            suppressed += 1
-        else:
-            kept.append(finding)
-    for problem in problems:
-        kept.append(Finding("allowlist-malformed", allowlist_path, 0,
-                            problem, ""))
-
-    if args.json_out:
-        report = {
-            "tool": "dgc-analyze",
-            "engine_version": ENGINE_VERSION,
-            "root": root,
-            "checked_files": checked,
-            "suppressed": suppressed,
-            "findings": [f.to_json() for f in kept],
-        }
-        with open(args.json_out, "w", encoding="utf-8") as f:
-            json.dump(report, f, indent=2)
-            f.write("\n")
-
-    for finding in kept:
-        print(finding)
-    emit_github_annotations(kept)
-    summary = (f"dgc-analyze: {checked} files, {len(kept)} finding(s), "
-               f"{suppressed} allowlisted")
-    print(summary, file=sys.stderr)
-    return 1 if kept else 0
+    return run_driver(argv, tool="dgc-analyze", description=__doc__,
+                      inline_allow_re=INLINE_ALLOW_RE,
+                      default_allowlist="analyze_allowlist.txt",
+                      check_file=analyze_file,
+                      extra_report={"engine_version": ENGINE_VERSION})
 
 
 if __name__ == "__main__":

@@ -372,10 +372,11 @@ def load_allowlist(path):
     return entries, problems
 
 
-def is_allowlisted(finding, entries, raw_lines_by_file):
+def is_allowlisted(finding, entries, raw_lines_by_file,
+                   inline_allow_re=INLINE_ALLOW_RE):
     lines = raw_lines_by_file.get(finding.path, [])
     raw = lines[finding.line - 1] if finding.line - 1 < len(lines) else ""
-    m = INLINE_ALLOW_RE.search(raw)
+    m = inline_allow_re.search(raw)
     if m and finding.rule in [r.strip() for r in m.group(1).split(",")]:
         return True
     for rule, glob, regex, _why in entries:
@@ -419,9 +420,16 @@ def discover_files(root, compile_commands):
     return sorted(files)
 
 
-def main(argv):
+def run_driver(argv, tool, description, inline_allow_re, default_allowlist,
+               check_file, extra_report=None):
+    """The CLI shared by dgc-lint and dgc-analyze: file discovery, one
+    `check_file(relpath, text, findings)` call per file, allowlist and
+    inline suppression, the --json report (`extra_report` keys follow
+    "tool"), findings on stdout and the summary on stderr. Returns the
+    exit code: 0 clean, 1 findings, 2 usage/environment error."""
+    verb = tool.split("-", 1)[1]
     parser = argparse.ArgumentParser(
-        prog="dgc-lint", description=__doc__,
+        prog=tool, description=description,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--root", default=None,
                         help="repo root (default: two dirs above this file)")
@@ -429,21 +437,21 @@ def main(argv):
                         help="compile_commands.json to union TUs from")
     parser.add_argument("--allowlist", default=None,
                         help="allowlist file (default: "
-                             "tools/lint/allowlist.txt under --root)")
+                             f"tools/lint/{default_allowlist} under --root)")
     parser.add_argument("--json", dest="json_out", default=None,
                         help="write machine-readable findings report here")
     parser.add_argument("paths", nargs="*",
-                        help="lint only these files (relative to --root)")
+                        help=f"{verb} only these files (relative to --root)")
     args = parser.parse_args(argv)
 
     root = os.path.abspath(
         args.root or
         os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", ".."))
     if not os.path.isdir(root):
-        print(f"dgc-lint: no such root: {root}", file=sys.stderr)
+        print(f"{tool}: no such root: {root}", file=sys.stderr)
         return 2
     allowlist_path = args.allowlist or os.path.join(
-        root, "tools", "lint", "allowlist.txt")
+        root, "tools", "lint", default_allowlist)
     entries, problems = load_allowlist(allowlist_path)
 
     if args.paths:
@@ -451,7 +459,7 @@ def main(argv):
     else:
         files = discover_files(root, args.compile_commands)
     if not files:
-        print("dgc-lint: no source files found", file=sys.stderr)
+        print(f"{tool}: no source files found", file=sys.stderr)
         return 2
 
     findings = []
@@ -463,15 +471,16 @@ def main(argv):
             with open(full, encoding="utf-8", errors="replace") as f:
                 text = f.read()
         except OSError as e:
-            print(f"dgc-lint: cannot read {rel}: {e}", file=sys.stderr)
+            print(f"{tool}: cannot read {rel}: {e}", file=sys.stderr)
             return 2
         raw_lines_by_file[rel] = text.splitlines()
-        lint_file(rel, text, findings)
+        check_file(rel, text, findings)
         checked += 1
 
     kept, suppressed = [], 0
     for finding in findings:
-        if is_allowlisted(finding, entries, raw_lines_by_file):
+        if is_allowlisted(finding, entries, raw_lines_by_file,
+                          inline_allow_re):
             suppressed += 1
         else:
             kept.append(finding)
@@ -481,7 +490,8 @@ def main(argv):
 
     if args.json_out:
         report = {
-            "tool": "dgc-lint",
+            "tool": tool,
+            **(extra_report or {}),
             "root": root,
             "checked_files": checked,
             "suppressed": suppressed,
@@ -494,10 +504,17 @@ def main(argv):
     for finding in kept:
         print(finding)
     emit_github_annotations(kept)
-    summary = (f"dgc-lint: {checked} files, {len(kept)} finding(s), "
+    summary = (f"{tool}: {checked} files, {len(kept)} finding(s), "
                f"{suppressed} allowlisted")
     print(summary, file=sys.stderr)
     return 1 if kept else 0
+
+
+def main(argv):
+    return run_driver(argv, tool="dgc-lint", description=__doc__,
+                      inline_allow_re=INLINE_ALLOW_RE,
+                      default_allowlist="allowlist.txt",
+                      check_file=lint_file)
 
 
 if __name__ == "__main__":
