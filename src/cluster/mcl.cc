@@ -323,10 +323,9 @@ Result<CsrMatrix> RmclIterate(CsrMatrix m, const CsrMatrix& mg,
     }
     StageSpan iter_span(options.metrics, "rmcl.iteration");
     iter_span.Metric("iteration", iter);
-    const CsrMatrix& right = options.regularized ? mg : m;
     const int64_t stamp_base = static_cast<int64_t>(iter) * n;
     for (auto& w : workspaces) w.ClearBuffers();
-    // New row r depends only on old row r and the fixed right factor
+    // New row r depends only on old row r and the fixed M_G
     // (InflatePruneRow's collapse aside), so bitwise-identical rows of M
     // yield identical new rows: compute one row per group and copy it.
     GroupIdenticalRows(m, threads, rep, reps);
@@ -350,7 +349,7 @@ Result<CsrMatrix> RmclIterate(CsrMatrix m, const CsrMatrix& mg,
               RmclRowResult& result = results[static_cast<size_t>(r)];
               audit::AuditSpan audit_result(&result, 1, "rmcl.row_result");
               const int64_t stamp = stamp_base + r;
-              // Expansion: row r of M * right.
+              // Expansion: row r of M * M_G.
               Scalar* accum = w.accum.data();
               int64_t* marker = w.marker.data();
               Index* touched = w.touched.data();
@@ -359,8 +358,8 @@ Result<CsrMatrix> RmclIterate(CsrMatrix m, const CsrMatrix& mg,
               auto mvals = m.RowValues(r);
               for (size_t i = 0; i < mcols.size(); ++i) {
                 const Scalar mv = mvals[i];
-                auto rcols = right.RowCols(mcols[i]);
-                auto rvals = right.RowValues(mcols[i]);
+                auto rcols = mg.RowCols(mcols[i]);
+                auto rvals = mg.RowValues(mcols[i]);
                 for (size_t j = 0; j < rcols.size(); ++j) {
                   const Index c = rcols[j];
                   if (marker[c] != stamp) {
@@ -568,32 +567,8 @@ Result<Clustering> RmclWarmStart(const UGraph& g,
       BuildFlowMatrix(g, options.self_loop_scale, options.num_threads);
 
   // Seed M0: previous flow rows everywhere, fresh M_G rows on the touched
-  // set. Serial two-cursor row splice (memcpy-bound, deterministic).
-  std::vector<Offset> row_ptr(static_cast<size_t>(n) + 1, 0);
-  for (Index r = 0; r < n; ++r) {
-    const bool touched =
-        std::binary_search(touched_rows.begin(), touched_rows.end(), r);
-    row_ptr[static_cast<size_t>(r) + 1] =
-        row_ptr[static_cast<size_t>(r)] +
-        (touched ? mg.RowNnz(r) : previous_flow.RowNnz(r));
-  }
-  std::vector<Index> col_idx(static_cast<size_t>(row_ptr.back()));
-  std::vector<Scalar> values(static_cast<size_t>(row_ptr.back()));
-  for (Index r = 0; r < n; ++r) {
-    const bool touched =
-        std::binary_search(touched_rows.begin(), touched_rows.end(), r);
-    const CsrMatrix& src = touched ? mg : previous_flow;
-    const auto cols = src.RowCols(r);
-    const auto vals = src.RowValues(r);
-    const size_t at = static_cast<size_t>(row_ptr[static_cast<size_t>(r)]);
-    std::copy(cols.begin(), cols.end(), col_idx.begin() + static_cast<long>(at));
-    std::copy(vals.begin(), vals.end(), values.begin() + static_cast<long>(at));
-  }
-  // Every row is a verbatim copy of a validated source row.
-  CsrMatrix m0 = CsrMatrix::FromPartsUnchecked(
-      n, n, std::move(row_ptr), std::move(col_idx), std::move(values));
-  m0.ValidateStructure("RmclWarmStart");
-
+  // set.
+  CsrMatrix m0 = previous_flow.SpliceRows(touched_rows, mg);
   DGC_ASSIGN_OR_RETURN(CsrMatrix flow,
                        RmclIterate(std::move(m0), mg, options, iterations));
   Clustering clustering = FlowToClustering(flow);

@@ -1,13 +1,16 @@
-// Markov clustering: MCL (van Dongen 2000) and its regularized variant
-// R-MCL (Satuluri-Parthasarathy, KDD 2009), the flow engine underneath
-// MLR-MCL — the paper's primary stage-2 clustering algorithm [20].
+// Regularized Markov clustering, R-MCL (Satuluri-Parthasarathy, KDD 2009,
+// after van Dongen's MCL), the flow engine underneath MLR-MCL — the
+// paper's primary stage-2 clustering algorithm [20].
 //
-// Flow matrices are row-stochastic here (the transpose of the usual
-// column-stochastic presentation): one R-MCL iteration is
+// Flow matrices are row-stochastic here, and one iteration is
 //   M := Prune(Inflate(M * M_G, r))
-// where M_G is the row-stochastic graph matrix with self-loops. Cluster
-// granularity is controlled indirectly by the inflation parameter r —
-// exactly the "indirect control" the paper notes in Section 4.2.
+// on rows, where M_G is the row-stochastic graph matrix with self-loops:
+// row r of M is pushed one more step through G, so new row r depends only
+// on old row r. This is not the transpose of KDD 2009's column-stochastic
+// M * M_G, which in row form reads M_G * M; the repository keeps the
+// row-local form as a known divergence. Cluster granularity is controlled
+// indirectly by the inflation parameter r — exactly the "indirect
+// control" the paper notes in Section 4.2.
 #pragma once
 
 #include <cstdint>
@@ -34,9 +37,6 @@ struct RmclOptions {
   /// Self-loop weight added to each vertex before normalization, as a
   /// multiple of the vertex's mean incident edge weight.
   Scalar self_loop_scale = 1.0;
-  /// Use regularized expansion M*M_G (R-MCL). false gives classic MCL
-  /// expansion M*M.
-  bool regularized = true;
   /// Converged when the mean L1 row change falls below this. Attractor
   /// extraction is only meaningful near convergence, so keep it small.
   Scalar convergence_tol = 1e-6;
@@ -81,10 +81,9 @@ CsrMatrix BuildFlowMatrixFromAdjacency(const CsrMatrix& adj,
 /// order-independent, so the output is bit-identical to the sequential
 /// path.
 ///
-/// A new row depends only on its old row and the right factor (M_G, or M
-/// itself when !options.regularized), so each iteration groups the
-/// bitwise-identical rows of M and computes one row per group; the others
-/// copy it. The exception is the all-values-underflowed collapse, which
+/// A new row depends only on its old row and M_G, so each iteration groups
+/// the bitwise-identical rows of M and computes one row per group; the
+/// others copy it. The exception is the all-values-underflowed collapse, which
 /// reads the row index: a group whose row collapses is computed row by
 /// row. The output is byte-identical to computing every row, and the
 /// `expanded_nnz` metric still counts every row (DESIGN.md section 13).

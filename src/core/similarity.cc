@@ -66,16 +66,8 @@ Result<UGraph> SymmetrizeSimilarity(const Digraph& g,
       at = a.Transpose(options.num_threads);
       transpose_span.Metric("nnz", at.nnz());
     }
-    // Per-entry factors (a·so_i)·√si_k for B and (aᵀ·si_i)·√so_k for C: the
-    // multiplication order BuildSimilarityFactors bakes into M and N.
-    std::vector<Scalar> so, si, sqrt_so, sqrt_si;
-    if (method == SymmetrizationMethod::kDegreeDiscounted) {
-      so = DiscountFactors(a.RowCounts(), options.out_discount);
-      si = DiscountFactors(a.ColCounts(), options.in_discount);
-      sqrt_so = Sqrt(so);
-      sqrt_si = Sqrt(si);
-    }
-
+    const SimilarityScales scales =
+        ComputeSimilarityScales(a, method, options);
     TiledSymmetricSumOptions sum_options;
     sum_options.threshold = options.prune_threshold;
     sum_options.num_threads = options.num_threads;
@@ -86,8 +78,9 @@ Result<UGraph> SymmetrizeSimilarity(const Digraph& g,
     sum_options.spill_dir = options.spill_dir;
     sum_options.metrics = options.metrics;
     sum_options.cancel = options.cancel;
-    DGC_ASSIGN_OR_RETURN(u, SymmetricProductSum(a, at, so, sqrt_si, si,
-                                                sqrt_so, sum_options));
+    DGC_ASSIGN_OR_RETURN(
+        u, SymmetricProductSum(a, at, scales.so, scales.sqrt_si, scales.si,
+                               scales.sqrt_so, sum_options));
   }
   u.ValidateStructure("SymmetrizeSimilarity");
   DGC_ASSIGN_OR_RETURN(
@@ -99,6 +92,20 @@ Result<UGraph> SymmetrizeSimilarity(const Digraph& g,
 }
 
 }  // namespace
+
+SimilarityScales ComputeSimilarityScales(const CsrMatrix& a,
+                                         SymmetrizationMethod method,
+                                         const SymmetrizationOptions& options) {
+  SimilarityScales scales;
+  if (method != SymmetrizationMethod::kDegreeDiscounted) return scales;
+  // Per-entry factors (a·so_i)·√si_k for B and (aᵀ·si_i)·√so_k for C: the
+  // multiplication order BuildSimilarityFactors bakes into M and N.
+  scales.so = DiscountFactors(a.RowCounts(), options.out_discount);
+  scales.si = DiscountFactors(a.ColCounts(), options.in_discount);
+  scales.sqrt_so = Sqrt(scales.so);
+  scales.sqrt_si = Sqrt(scales.si);
+  return scales;
+}
 
 Result<UGraph> SymmetrizeBibliometric(const Digraph& g,
                                       const SymmetrizationOptions& options) {

@@ -14,6 +14,7 @@
 
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/discount.h"
 #include "graph/digraph.h"
@@ -166,6 +167,22 @@ struct SimilarityFactors {
   CsrMatrix m;  ///< out-link factor: out-similarity = M Mᵀ
   CsrMatrix n;  ///< in-link factor: in-similarity = Nᵀ N
 };
+
+/// The per-vertex scales of the fused similarity product over A (A + I
+/// with add_self_loops): B = upper(So A Si Aᵀ So) runs over (A, Aᵀ) with
+/// row scale `so` and column scale `sqrt_si`, C = upper(Si Aᵀ So A Si)
+/// over (Aᵀ, A) with `si` and `sqrt_so`. All four are empty (factor 1) for
+/// Bibliometric. The one recipe behind the static symmetrizer and the
+/// incremental engine (dynamic/incremental.h).
+struct SimilarityScales {
+  std::vector<Scalar> so;
+  std::vector<Scalar> sqrt_si;
+  std::vector<Scalar> si;
+  std::vector<Scalar> sqrt_so;
+};
+SimilarityScales ComputeSimilarityScales(const CsrMatrix& a,
+                                         SymmetrizationMethod method,
+                                         const SymmetrizationOptions& options);
 
 /// Builds the factor matrices for `method` (kBibliometric or
 /// kDegreeDiscounted only; InvalidArgument otherwise).

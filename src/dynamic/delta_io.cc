@@ -1,139 +1,32 @@
 #include "dynamic/delta_io.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
-#include <limits>
 #include <string_view>
-#include <system_error>
 #include <utility>
+
+#include "graph/text_scan.h"
 
 namespace dgc {
 namespace {
 
-// Mirrors the bounded scanner in src/graph/io.cc (those helpers live in its
-// anonymous namespace on purpose — each reader owns its hardening locally).
+using text_scan::IsCommentOrBlank;
+using text_scan::kIndexCap;
+using text_scan::LineRead;
+using text_scan::LineTooLong;
+using text_scan::ParseDouble;
+using text_scan::ParseInt64;
+using text_scan::ReadLineBounded;
+using text_scan::TokenCursor;
+using text_scan::TokenPreview;
+using text_scan::Where;
 
-bool IsSpaceChar(char c) {
-  return c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f';
-}
-
-bool IsCommentOrBlank(std::string_view line) {
-  for (char c : line) {
-    if (IsSpaceChar(c)) continue;
-    return c == '#' || c == '%';
-  }
-  return true;  // blank
-}
-
-enum class LineRead { kLine, kEof, kTooLong };
-
-LineRead ReadLineBounded(std::istream& in, int64_t max_bytes,
-                         std::string* out) {
-  out->clear();
-  char buf[4096];
-  for (;;) {
-    in.get(buf, sizeof(buf), '\n');
-    const std::streamsize got = in.gcount();
-    if (got > 0) out->append(buf, static_cast<size_t>(got));
-    if (static_cast<int64_t>(out->size()) > max_bytes) {
-      return LineRead::kTooLong;
-    }
-    if (in.eof()) return out->empty() ? LineRead::kEof : LineRead::kLine;
-    if (in.fail()) in.clear();
-    const int next = in.peek();
-    if (next == '\n') {
-      in.get();
-      return LineRead::kLine;
-    }
-    if (next == std::char_traits<char>::eof()) {
-      return out->empty() ? LineRead::kEof : LineRead::kLine;
-    }
-  }
-}
-
-class TokenCursor {
- public:
-  explicit TokenCursor(std::string_view line) : line_(line) {}
-
-  bool Next(std::string_view* token, int64_t* column) {
-    SkipSpace();
-    if (pos_ >= line_.size()) return false;
-    const size_t start = pos_;
-    while (pos_ < line_.size() && !IsSpaceChar(line_[pos_])) ++pos_;
-    *token = line_.substr(start, pos_ - start);
-    *column = static_cast<int64_t>(start) + 1;
-    return true;
-  }
-
-  bool AtEnd() {
-    SkipSpace();
-    return pos_ >= line_.size();
-  }
-
-  int64_t column() {
-    SkipSpace();
-    return static_cast<int64_t>(pos_) + 1;
-  }
-
- private:
-  void SkipSpace() {
-    while (pos_ < line_.size() && IsSpaceChar(line_[pos_])) ++pos_;
-  }
-
-  std::string_view line_;
-  size_t pos_ = 0;
-};
-
-std::string Where(const std::string& path, int64_t line, int64_t col) {
-  return path + ":" + std::to_string(line) + ":" + std::to_string(col) + ": ";
-}
-
-std::string TokenPreview(std::string_view token) {
-  std::string out;
-  const size_t n = std::min<size_t>(token.size(), 24);
-  out.reserve(n + 3);
-  for (size_t i = 0; i < n; ++i) {
-    const unsigned char c = static_cast<unsigned char>(token[i]);
-    out.push_back(c >= 0x20 && c < 0x7f ? static_cast<char>(c) : '?');
-  }
-  if (token.size() > n) out += "...";
-  return out;
-}
-
-Status ParseInt64(const std::string& path, int64_t line_no, int64_t col,
-                  std::string_view token, const char* what, int64_t* out) {
-  const char* first = token.data();
-  const char* last = token.data() + token.size();
-  auto [ptr, ec] = std::from_chars(first, last, *out);
-  if (ec == std::errc::result_out_of_range) {
-    return Status::OutOfRange(Where(path, line_no, col) + std::string(what) +
-                              " '" + TokenPreview(token) +
-                              "' overflows a 64-bit integer");
-  }
-  if (ec != std::errc() || ptr != last) {
-    return Status::IOError(Where(path, line_no, col) + "malformed " +
-                           std::string(what) + " '" + TokenPreview(token) +
-                           "'");
-  }
-  return Status::OK();
-}
-
+// An insert weight must be finite and positive.
 Status ParseWeight(const std::string& path, int64_t line_no, int64_t col,
                    std::string_view token, double* out) {
-  const char* first = token.data();
-  const char* last = token.data() + token.size();
-  auto [ptr, ec] = std::from_chars(first, last, *out);
-  if (ec == std::errc::result_out_of_range) {
-    return Status::OutOfRange(Where(path, line_no, col) + "weight '" +
-                              TokenPreview(token) + "' is out of double range");
-  }
-  if (ec != std::errc() || ptr != last) {
-    return Status::IOError(Where(path, line_no, col) + "malformed weight '" +
-                           TokenPreview(token) + "'");
-  }
+  DGC_RETURN_IF_ERROR(ParseDouble(path, line_no, col, token, "weight", out));
   if (!std::isfinite(*out) || *out <= 0.0) {
     return Status::IOError(Where(path, line_no, col) +
                            "weight must be finite and positive, got '" +
@@ -141,8 +34,6 @@ Status ParseWeight(const std::string& path, int64_t line_no, int64_t col,
   }
   return Status::OK();
 }
-
-constexpr int64_t kIndexCap = std::numeric_limits<Index>::max();
 
 Status ParseVertex(const std::string& path, int64_t line_no, int64_t col,
                    std::string_view token, const char* what, int64_t id_cap,
@@ -186,12 +77,7 @@ Result<std::vector<EdgeDeltaBatch>> ReadDeltaBatches(const std::string& path,
     const LineRead read = ReadLineBounded(in, limits.max_line_bytes, &line);
     if (read == LineRead::kEof) break;
     ++line_no;
-    if (read == LineRead::kTooLong) {
-      return Status::OutOfRange(
-          Where(path, line_no, limits.max_line_bytes + 1) +
-          "line exceeds IoLimits.max_line_bytes = " +
-          std::to_string(limits.max_line_bytes));
-    }
+    if (read == LineRead::kTooLong) return LineTooLong(path, line_no, limits);
     if (IsCommentOrBlank(line)) continue;
 
     TokenCursor cursor(line);

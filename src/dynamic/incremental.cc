@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/discount.h"
 #include "linalg/spgemm.h"
 #include "util/logging.h"
 
@@ -71,6 +70,12 @@ void CollectEndpoints(const EdgeDeltaBatch& batch,
   dests->erase(std::unique(dests->begin(), dests->end()), dests->end());
 }
 
+std::vector<Index> AllRows(Index n) {
+  std::vector<Index> rows(static_cast<size_t>(n));
+  std::iota(rows.begin(), rows.end(), Index{0});
+  return rows;
+}
+
 }  // namespace
 
 Result<IncrementalSymmetrizer> IncrementalSymmetrizer::Create(
@@ -93,208 +98,99 @@ Result<IncrementalSymmetrizer> IncrementalSymmetrizer::Create(
   s.options_.tile_rows = 0;
   s.options_.spill_dir.clear();
   DGC_ASSIGN_OR_RETURN(s.graph_, DynamicGraph::FromDigraph(g));
-  DGC_RETURN_IF_ERROR(s.RecomputeAll());
+  // Create is the delta in which every row is affected: the result and the
+  // cached triangles start empty and every row is recomputed and spliced
+  // in, through the same code as ApplyDelta.
   const Index n = s.graph_.NumVertices();
-  s.stats_ = IncrementalStats{n, n};
-  s.last_affected_.resize(static_cast<size_t>(n));
-  std::iota(s.last_affected_.begin(), s.last_affected_.end(), Index{0});
+  DGC_ASSIGN_OR_RETURN(s.result_, UGraph::FromSymmetricAdjacency(
+                                      CsrMatrix::Zero(n, n),
+                                      /*drop_self_loops=*/true));
+  s.b_upper_ = CsrMatrix::Zero(n, n);
+  s.c_upper_ = CsrMatrix::Zero(n, n);
+  DGC_RETURN_IF_ERROR(s.Recompute(nullptr));
   return s;
 }
 
-Status IncrementalSymmetrizer::RecomputeAll() {
-  DGC_ASSIGN_OR_RETURN(Digraph d, graph_.ToDigraph());
-  switch (method_) {
-    case SymmetrizationMethod::kAPlusAT: {
-      DGC_ASSIGN_OR_RETURN(result_, SymmetrizeAPlusAT(d, options_));
-      return Status::OK();
-    }
-    case SymmetrizationMethod::kRandomWalk: {
-      DGC_ASSIGN_OR_RETURN(result_, SymmetrizeRandomWalk(d, options_));
-      return Status::OK();
-    }
-    case SymmetrizationMethod::kBibliometric:
-    case SymmetrizationMethod::kDegreeDiscounted:
-      break;
-  }
-
-  // Similarity methods: replicate the fused recipe while keeping both
-  // upper triangles for later splicing. The exact call sequence mirrors
-  // SymmetricProductSum's one-tile case, so the triangles — and the
-  // summed, mirrored result — are bit-identical to Symmetrize().
-  CsrMatrix a_store;
-  CsrMatrix at_store;
-  const CsrMatrix* a = &graph_.adjacency();
-  const CsrMatrix* at = &graph_.transpose();
-  if (options_.add_self_loops) {
-    DGC_ASSIGN_OR_RETURN(a_store, graph_.adjacency().PlusIdentity());
-    at_store = a_store.Transpose(options_.num_threads);
-    a = &a_store;
-    at = &at_store;
-  }
-
-  SpGemmOptions product_options;
-  product_options.threshold = options_.prune_threshold / 2.0;
-  product_options.drop_diagonal = true;
-  product_options.num_threads = options_.num_threads;
-
-  if (method_ == SymmetrizationMethod::kDegreeDiscounted) {
-    const std::vector<Offset> out_deg = a->RowCounts();
-    const std::vector<Offset> in_deg = a->ColCounts();
-    const std::vector<Scalar> so =
-        DiscountFactors(out_deg, options_.out_discount);
-    const std::vector<Scalar> si =
-        DiscountFactors(in_deg, options_.in_discount);
-    const std::vector<Scalar> sqrt_so = Sqrt(so);
-    const std::vector<Scalar> sqrt_si = Sqrt(si);
-    DGC_ASSIGN_OR_RETURN(
-        b_upper_, SpGemmAAtSymmetric(*a, so, sqrt_si, product_options, at));
-    DGC_ASSIGN_OR_RETURN(
-        c_upper_, SpGemmAAtSymmetric(*at, si, sqrt_so, product_options, a));
-  } else {
-    DGC_ASSIGN_OR_RETURN(
-        b_upper_, SpGemmAAtSymmetric(*a, {}, {}, product_options, at));
-    DGC_ASSIGN_OR_RETURN(
-        c_upper_, SpGemmAAtSymmetric(*at, {}, {}, product_options, a));
-  }
-
-  SpGemmOptions sum_options;
-  sum_options.threshold = options_.prune_threshold;
-  sum_options.drop_diagonal = true;
-  sum_options.num_threads = options_.num_threads;
-  DGC_ASSIGN_OR_RETURN(CsrMatrix u,
-                       SpGemmSymmetricSum(b_upper_, c_upper_, sum_options));
-  u.ValidateStructure("IncrementalSymmetrizer::RecomputeAll");
-  DGC_ASSIGN_OR_RETURN(result_,
-                       UGraph::FromSymmetricAdjacency(
-                           std::move(u), /*drop_self_loops=*/true));
-  return Status::OK();
-}
-
 Status IncrementalSymmetrizer::ApplyDelta(const EdgeDeltaBatch& batch) {
-  const Index n = graph_.NumVertices();
   if (batch.empty()) {
     // Exact no-op: nothing validated against the graph changes, nothing is
     // recomputed, the cached result keeps its bytes.
+    const Index n = graph_.NumVertices();
     DGC_RETURN_IF_ERROR(batch.Validate(n));
     stats_ = IncrementalStats{0, n};
     last_affected_.clear();
     return Status::OK();
   }
   DGC_RETURN_IF_ERROR(graph_.Apply(batch));
+  return Recompute(&batch);
+}
+
+Status IncrementalSymmetrizer::Recompute(const EdgeDeltaBatch* batch) {
+  const Index n = graph_.NumVertices();
   switch (method_) {
-    case SymmetrizationMethod::kAPlusAT:
-      return ApplyAPlusAtDelta(batch);
+    case SymmetrizationMethod::kAPlusAT: {
+      // Row r of U = drop_diag(A + Aᵀ) is a pure function of A row r and
+      // Aᵀ row r, so it changes only for r ∈ S ∪ T.
+      std::vector<Index> rows;
+      if (batch == nullptr) {
+        rows = AllRows(n);
+      } else {
+        std::vector<Index> sources;
+        std::vector<Index> dests;
+        CollectEndpoints(*batch, &sources, &dests);
+        rows = SortedUnion(sources, dests);
+      }
+      DGC_RETURN_IF_ERROR(UpdateAPlusAtRows(rows));
+      last_affected_ = std::move(rows);
+      break;
+    }
     case SymmetrizationMethod::kRandomWalk: {
       // π couples every row to every edge; claiming locality here would be
-      // wrong, so the update is an honest full recompute.
-      DGC_RETURN_IF_ERROR(RecomputeAll());
-      stats_ = IncrementalStats{n, n};
-      last_affected_.resize(static_cast<size_t>(n));
-      std::iota(last_affected_.begin(), last_affected_.end(), Index{0});
-      return Status::OK();
+      // wrong, so every update is an honest full recompute.
+      DGC_ASSIGN_OR_RETURN(Digraph d, graph_.ToDigraph());
+      DGC_ASSIGN_OR_RETURN(result_, SymmetrizeRandomWalk(d, options_));
+      last_affected_ = AllRows(n);
+      break;
     }
     case SymmetrizationMethod::kBibliometric:
     case SymmetrizationMethod::kDegreeDiscounted:
-      return ApplySimilarityDelta(batch);
+      DGC_RETURN_IF_ERROR(UpdateSimilarityRows(batch));
+      break;
   }
-  return Status::Internal("unreachable symmetrization method");
-}
-
-Status IncrementalSymmetrizer::ApplyAPlusAtDelta(const EdgeDeltaBatch& batch) {
-  const Index n = graph_.NumVertices();
-  std::vector<Index> sources;
-  std::vector<Index> dests;
-  CollectEndpoints(batch, &sources, &dests);
-  const std::vector<Index> touched = SortedUnion(sources, dests);
-
-  // Row r of U = drop_diag(A + Aᵀ) is a pure function of A row r and Aᵀ
-  // row r, so it changes only for r ∈ S ∪ T. Recompute those rows with the
-  // exact CsrMatrix::Add merge (a-operand first on ties) minus the
-  // diagonal, then splice.
-  const CsrMatrix& a = graph_.adjacency();
-  const CsrMatrix& at = graph_.transpose();
-  const CsrMatrix& base = result_.adjacency();
-  std::vector<Offset> patch_nnz;
-  std::vector<Index> patch_cols;
-  std::vector<Scalar> patch_vals;
-  patch_nnz.reserve(touched.size());
-  for (Index r : touched) {
-    const size_t before = patch_cols.size();
-    auto ac = a.RowCols(r);
-    auto av = a.RowValues(r);
-    auto tc = at.RowCols(r);
-    auto tv = at.RowValues(r);
-    size_t i = 0, j = 0;
-    while (i < ac.size() || j < tc.size()) {
-      Index col;
-      Scalar v;
-      if (j >= tc.size() || (i < ac.size() && ac[i] < tc[j])) {
-        col = ac[i];
-        v = av[i];
-        ++i;
-      } else if (i >= ac.size() || tc[j] < ac[i]) {
-        col = tc[j];
-        v = tv[j];
-        ++j;
-      } else {
-        col = ac[i];
-        v = av[i] + tv[j];
-        ++i;
-        ++j;
-      }
-      if (col == r) continue;  // FromSymmetricAdjacency drops self-loops
-      patch_cols.push_back(col);
-      patch_vals.push_back(v);
-    }
-    patch_nnz.push_back(static_cast<Offset>(patch_cols.size() - before));
-  }
-
-  // Serial splice of the patched rows into the cached adjacency.
-  std::vector<Offset> row_ptr(static_cast<size_t>(n) + 1, 0);
-  size_t next = 0;
-  for (Index r = 0; r < n; ++r) {
-    const bool patched = next < touched.size() && touched[next] == r;
-    const Offset nnz_r =
-        patched ? patch_nnz[next++] : base.RowNnz(r);
-    row_ptr[static_cast<size_t>(r) + 1] = row_ptr[static_cast<size_t>(r)] +
-                                          nnz_r;
-  }
-  std::vector<Index> col_idx(static_cast<size_t>(row_ptr.back()));
-  std::vector<Scalar> values(static_cast<size_t>(row_ptr.back()));
-  next = 0;
-  Offset patch_at = 0;
-  for (Index r = 0; r < n; ++r) {
-    const Offset dst = row_ptr[static_cast<size_t>(r)];
-    if (next < touched.size() && touched[next] == r) {
-      const Offset k = patch_nnz[next];
-      std::copy_n(patch_cols.begin() + static_cast<long>(patch_at), k,
-                  col_idx.begin() + static_cast<long>(dst));
-      std::copy_n(patch_vals.begin() + static_cast<long>(patch_at), k,
-                  values.begin() + static_cast<long>(dst));
-      patch_at += k;
-      ++next;
-    } else {
-      auto cols = base.RowCols(r);
-      auto vals = base.RowValues(r);
-      std::copy_n(cols.begin(), cols.size(),
-                  col_idx.begin() + static_cast<long>(dst));
-      std::copy_n(vals.begin(), vals.size(),
-                  values.begin() + static_cast<long>(dst));
-    }
-  }
-  CsrMatrix spliced = CsrMatrix::FromPartsUnchecked(
-      n, n, std::move(row_ptr), std::move(col_idx), std::move(values));
-  spliced.ValidateStructure("IncrementalSymmetrizer::ApplyAPlusAtDelta");
-  DGC_ASSIGN_OR_RETURN(result_,
-                       UGraph::FromSymmetricAdjacency(
-                           std::move(spliced), /*drop_self_loops=*/true));
-  stats_ = IncrementalStats{static_cast<Index>(touched.size()), n};
-  last_affected_ = touched;
+  stats_ = IncrementalStats{static_cast<Index>(last_affected_.size()), n};
   return Status::OK();
 }
 
-Status IncrementalSymmetrizer::ApplySimilarityDelta(
-    const EdgeDeltaBatch& batch) {
+Status IncrementalSymmetrizer::UpdateAPlusAtRows(
+    std::span<const Index> rows) {
+  const Index n = graph_.NumVertices();
+  const CsrMatrix& a = graph_.adjacency();
+  const CsrMatrix& at = graph_.transpose();
+  SpGemmOptions merge_options;  // threshold 0 keeps every entry
+  merge_options.drop_diagonal = true;
+  std::vector<Offset> row_ptr(static_cast<size_t>(n) + 1, 0);
+  std::vector<Index> cols;
+  std::vector<Scalar> vals;
+  size_t next = 0;
+  for (Index r = 0; r < n; ++r) {
+    if (next < rows.size() && rows[next] == r) {
+      MergeRowSum(a, at, r, r, merge_options, cols, vals);
+      ++next;
+    }
+    row_ptr[static_cast<size_t>(r) + 1] = static_cast<Offset>(cols.size());
+  }
+  const CsrMatrix patch = CsrMatrix::FromPartsUnchecked(
+      n, n, std::move(row_ptr), std::move(cols), std::move(vals));
+  patch.ValidateStructure("IncrementalSymmetrizer::UpdateAPlusAtRows");
+  DGC_ASSIGN_OR_RETURN(
+      result_, UGraph::FromSymmetricAdjacency(
+                   result_.adjacency().SpliceRows(rows, patch),
+                   /*drop_self_loops=*/true));
+  return Status::OK();
+}
+
+Status IncrementalSymmetrizer::UpdateSimilarityRows(
+    const EdgeDeltaBatch* batch) {
   const Index n = graph_.NumVertices();
   CsrMatrix a_store;
   CsrMatrix at_store;
@@ -307,72 +203,57 @@ Status IncrementalSymmetrizer::ApplySimilarityDelta(
     at = &at_store;
   }
 
-  // Affected-row derivation (docs/DYNAMIC.md). Frontiers run over the
-  // UPDATED graph: an old-only neighbor reached through a deleted edge is
-  // that edge's endpoint, hence already in S or T. With add_self_loops the
-  // frontiers use A+I, whose diagonal adds each seed to its own
-  // neighborhood — a harmless superset.
-  std::vector<Index> sources;
-  std::vector<Index> dests;
-  CollectEndpoints(batch, &sources, &dests);
-  std::vector<char> mark(static_cast<size_t>(n), 0);
-  // P = S ∪ in(T): coupling rows whose factor row changed. Q = T ∪ out(S):
-  // the co-citation mirror image.
-  const std::vector<Index> p = UnionWithNeighbors(sources, dests, *at, mark);
-  const std::vector<Index> q = UnionWithNeighbors(dests, sources, *a, mark);
-  std::vector<Index> aff_b = p;
-  std::vector<Index> aff_c = q;
-  if (method_ == SymmetrizationMethod::kDegreeDiscounted) {
-    // Discount factors change on S (out-degree) and T (in-degree), so a
-    // coupling row is also affected when any of its product terms crosses
-    // a column whose factor row changed — one more frontier hop.
-    aff_b = UnionWithNeighbors(p, q, *at, mark);
-    aff_c = UnionWithNeighbors(q, p, *a, mark);
-  }
-
-  SpGemmOptions product_options;
-  product_options.threshold = options_.prune_threshold / 2.0;
-  product_options.drop_diagonal = true;
-  product_options.num_threads = options_.num_threads;
-
-  if (method_ == SymmetrizationMethod::kDegreeDiscounted) {
-    const std::vector<Offset> out_deg = a->RowCounts();
-    const std::vector<Offset> in_deg = a->ColCounts();
-    const std::vector<Scalar> so =
-        DiscountFactors(out_deg, options_.out_discount);
-    const std::vector<Scalar> si =
-        DiscountFactors(in_deg, options_.in_discount);
-    const std::vector<Scalar> sqrt_so = Sqrt(so);
-    const std::vector<Scalar> sqrt_si = Sqrt(si);
-    DGC_ASSIGN_OR_RETURN(
-        b_upper_, SpGemmAAtSymmetricUpdateRows(*a, so, sqrt_si,
-                                               product_options, *at, aff_b,
-                                               b_upper_));
-    DGC_ASSIGN_OR_RETURN(
-        c_upper_, SpGemmAAtSymmetricUpdateRows(*at, si, sqrt_so,
-                                               product_options, *a, aff_c,
-                                               c_upper_));
+  std::vector<Index> aff_b;
+  std::vector<Index> aff_c;
+  if (batch == nullptr) {
+    aff_b = AllRows(n);
+    aff_c = aff_b;
   } else {
-    DGC_ASSIGN_OR_RETURN(
-        b_upper_, SpGemmAAtSymmetricUpdateRows(*a, {}, {}, product_options,
-                                               *at, aff_b, b_upper_));
-    DGC_ASSIGN_OR_RETURN(
-        c_upper_, SpGemmAAtSymmetricUpdateRows(*at, {}, {}, product_options,
-                                               *a, aff_c, c_upper_));
+    // Affected-row derivation (docs/DYNAMIC.md). Frontiers run over the
+    // UPDATED graph: an old-only neighbor reached through a deleted edge is
+    // that edge's endpoint, hence already in S or T. With add_self_loops
+    // the frontiers use A+I, whose diagonal adds each seed to its own
+    // neighborhood — a harmless superset.
+    std::vector<Index> sources;
+    std::vector<Index> dests;
+    CollectEndpoints(*batch, &sources, &dests);
+    std::vector<char> mark(static_cast<size_t>(n), 0);
+    // P = S ∪ in(T): coupling rows whose factor row changed. Q = T ∪ out(S):
+    // the co-citation mirror image.
+    aff_b = UnionWithNeighbors(sources, dests, *at, mark);
+    aff_c = UnionWithNeighbors(dests, sources, *a, mark);
+    if (method_ == SymmetrizationMethod::kDegreeDiscounted) {
+      // Discount factors change on S (out-degree) and T (in-degree), so a
+      // coupling row is also affected when any of its product terms
+      // crosses a column whose factor row changed — one more frontier hop.
+      std::vector<Index> p = std::move(aff_b);
+      std::vector<Index> q = std::move(aff_c);
+      aff_b = UnionWithNeighbors(p, q, *at, mark);
+      aff_c = UnionWithNeighbors(q, p, *a, mark);
+    }
   }
 
-  SpGemmOptions sum_options;
-  sum_options.threshold = options_.prune_threshold;
-  sum_options.drop_diagonal = true;
-  sum_options.num_threads = options_.num_threads;
+  // The static symmetrizer's recipe over the affected rows: the same
+  // scales and prune split, the same row kernel, the same merge.
+  const SimilarityScales scales =
+      ComputeSimilarityScales(*a, method_, options_);
+  const ProductSumOptions split =
+      SplitProductSumThreshold(options_.prune_threshold, options_.num_threads);
+  DGC_ASSIGN_OR_RETURN(
+      b_upper_,
+      SpGemmAAtSymmetricUpdateRows(*a, scales.so, scales.sqrt_si,
+                                   split.product, *at, aff_b, b_upper_));
+  DGC_ASSIGN_OR_RETURN(
+      c_upper_,
+      SpGemmAAtSymmetricUpdateRows(*at, scales.si, scales.sqrt_so,
+                                   split.product, *a, aff_c, c_upper_));
   DGC_ASSIGN_OR_RETURN(CsrMatrix u,
-                       SpGemmSymmetricSum(b_upper_, c_upper_, sum_options));
-  u.ValidateStructure("IncrementalSymmetrizer::ApplySimilarityDelta");
+                       SpGemmSymmetricSum(b_upper_, c_upper_, split.sum));
+  u.ValidateStructure("IncrementalSymmetrizer::UpdateSimilarityRows");
   DGC_ASSIGN_OR_RETURN(result_,
                        UGraph::FromSymmetricAdjacency(
                            std::move(u), /*drop_self_loops=*/true));
   last_affected_ = SortedUnion(aff_b, aff_c);
-  stats_ = IncrementalStats{static_cast<Index>(last_affected_.size()), n};
   return Status::OK();
 }
 

@@ -58,7 +58,8 @@ struct IncrementalStats {
 /// wrap ApplyDelta in their own stage span — dgc_serve's "delta" span).
 class IncrementalSymmetrizer {
  public:
-  /// Seeds the stream with a full from-scratch symmetrization of `g`.
+  /// Seeds the stream with `g`: the delta in which every row is affected,
+  /// run through the same code as ApplyDelta (last_stats() = {n, n}).
   static Result<IncrementalSymmetrizer> Create(
       const Digraph& g, SymmetrizationMethod method,
       const SymmetrizationOptions& options = {});
@@ -86,9 +87,15 @@ class IncrementalSymmetrizer {
  private:
   IncrementalSymmetrizer() = default;
 
-  Status RecomputeAll();
-  Status ApplyAPlusAtDelta(const EdgeDeltaBatch& batch);
-  Status ApplySimilarityDelta(const EdgeDeltaBatch& batch);
+  /// Recomputes the rows `batch` affects (every row when null, which is
+  /// what Create runs) and sets stats_ and last_affected_.
+  Status Recompute(const EdgeDeltaBatch* batch);
+  /// Splices rows `rows` of drop_diag(A + Aᵀ) into result_.
+  Status UpdateAPlusAtRows(std::span<const Index> rows);
+  /// Similarity methods: derives the affected rows of B and C from `batch`
+  /// (every row when null), recomputes and splices them into the cached
+  /// triangles, and re-sums the triangles into result_.
+  Status UpdateSimilarityRows(const EdgeDeltaBatch* batch);
 
   DynamicGraph graph_;
   SymmetrizationMethod method_ = SymmetrizationMethod::kAPlusAT;

@@ -159,34 +159,11 @@ CsrMatrix CsrMatrix::Transpose(int num_threads) const {
   std::vector<Offset> t_row_ptr(static_cast<size_t>(cols_) + 1, 0);
   std::vector<Index> t_col_idx(col_idx_.size());
   std::vector<Scalar> t_values(values_.size());
-  if (threads <= 1) {
-    for (Index c : col_idx_) ++t_row_ptr[static_cast<size_t>(c) + 1];
-    for (Index c = 0; c < cols_; ++c) {
-      t_row_ptr[static_cast<size_t>(c) + 1] +=
-          t_row_ptr[static_cast<size_t>(c)];
-    }
-    std::vector<Offset> fill(t_row_ptr.begin(), t_row_ptr.end() - 1);
-    for (Index r = 0; r < rows_; ++r) {
-      for (Offset p = row_ptr_[static_cast<size_t>(r)];
-           p < row_ptr_[static_cast<size_t>(r) + 1]; ++p) {
-        Index c = col_idx_[static_cast<size_t>(p)];
-        Offset dst = fill[static_cast<size_t>(c)]++;
-        t_col_idx[static_cast<size_t>(dst)] = r;
-        t_values[static_cast<size_t>(dst)] = values_[static_cast<size_t>(p)];
-      }
-    }
-    // Rows of the transpose are filled in increasing source-row order, so
-    // columns are already sorted.
-    CsrMatrix t = FromPartsUnchecked(cols_, rows_, std::move(t_row_ptr),
-                                     std::move(t_col_idx),
-                                     std::move(t_values));
-    t.ValidateStructure("CsrMatrix::Transpose(serial)");
-    return t;
-  }
-  // Parallel counting sort over static row blocks. Each entry (r, c) lands
-  // at t_row_ptr[c] + #(entries with column c in rows < r) — a position
-  // that does not depend on the block partition, so the result is identical
-  // to the serial path for every thread count.
+  // Counting sort over static row blocks (one block per thread). Each entry
+  // (r, c) lands at t_row_ptr[c] + #(entries with column c in rows < r) —
+  // a position that does not depend on the block partition, so the result
+  // is identical for every thread count. Rows of the transpose fill in
+  // increasing source-row order, so their columns come out sorted.
   const int blocks = threads;
   auto block_begin = [this, blocks](int b) {
     return static_cast<Index>(static_cast<int64_t>(rows_) * b / blocks);
@@ -205,28 +182,33 @@ CsrMatrix CsrMatrix::Transpose(int num_threads) const {
       }
     }
   });
-  ParallelFor(0, cols_, threads, [&](int64_t c) {
-    Offset total = 0;
-    for (int b = 0; b < blocks; ++b) {
-      total += cursor[static_cast<size_t>(b) * static_cast<size_t>(cols_) +
-                      static_cast<size_t>(c)];
+  // Column loops run chunked: one call per chunk, not one per column.
+  ParallelForChunked(0, cols_, threads, [&](int64_t lo, int64_t hi) {
+    for (int64_t c = lo; c < hi; ++c) {
+      Offset total = 0;
+      for (int b = 0; b < blocks; ++b) {
+        total += cursor[static_cast<size_t>(b) * static_cast<size_t>(cols_) +
+                        static_cast<size_t>(c)];
+      }
+      t_row_ptr[static_cast<size_t>(c) + 1] = total;
     }
-    t_row_ptr[static_cast<size_t>(c) + 1] = total;
   });
   for (Index c = 0; c < cols_; ++c) {
     t_row_ptr[static_cast<size_t>(c) + 1] += t_row_ptr[static_cast<size_t>(c)];
   }
   // Turn counts into exact per-block starting cursors within each output
   // row: block b's entries for column c start after blocks < b.
-  ParallelFor(0, cols_, threads, [&](int64_t c) {
-    Offset run = t_row_ptr[static_cast<size_t>(c)];
-    for (int b = 0; b < blocks; ++b) {
-      Offset& slot =
-          cursor[static_cast<size_t>(b) * static_cast<size_t>(cols_) +
-                 static_cast<size_t>(c)];
-      const Offset count = slot;
-      slot = run;
-      run += count;
+  ParallelForChunked(0, cols_, threads, [&](int64_t lo, int64_t hi) {
+    for (int64_t c = lo; c < hi; ++c) {
+      Offset run = t_row_ptr[static_cast<size_t>(c)];
+      for (int b = 0; b < blocks; ++b) {
+        Offset& slot =
+            cursor[static_cast<size_t>(b) * static_cast<size_t>(cols_) +
+                   static_cast<size_t>(c)];
+        const Offset count = slot;
+        slot = run;
+        run += count;
+      }
     }
   });
   ParallelFor(0, blocks, threads, [&](int64_t b) {
@@ -244,7 +226,7 @@ CsrMatrix CsrMatrix::Transpose(int num_threads) const {
   });
   CsrMatrix t = FromPartsUnchecked(cols_, rows_, std::move(t_row_ptr),
                                    std::move(t_col_idx), std::move(t_values));
-  t.ValidateStructure("CsrMatrix::Transpose(parallel)");
+  t.ValidateStructure("CsrMatrix::Transpose");
   return t;
 }
 
@@ -336,6 +318,45 @@ CsrMatrix CsrMatrix::Pruned(Scalar threshold, bool drop_diagonal) const {
                          std::move(new_col_idx), std::move(new_values));
   pruned.ValidateStructure("CsrMatrix::Pruned");
   return pruned;
+}
+
+CsrMatrix CsrMatrix::SpliceRows(std::span<const Index> rows,
+                                const CsrMatrix& source) const {
+  DGC_CHECK(source.rows_ == rows_ && source.cols_ == cols_)
+      << "SpliceRows: source " << source.DebugString() << " vs "
+      << DebugString();
+  // The spliced size first (O(|rows|)), so the copy is a single pass.
+  Offset nnz_out = nnz();
+  for (size_t p = 0; p < rows.size(); ++p) {
+    DGC_CHECK(rows[p] >= 0 && rows[p] < rows_ &&
+              (p == 0 || rows[p - 1] < rows[p]))
+        << "SpliceRows: row list must be sorted, unique and in range";
+    nnz_out += source.RowNnz(rows[p]) - RowNnz(rows[p]);
+  }
+  std::vector<Offset> row_ptr(static_cast<size_t>(rows_) + 1, 0);
+  std::vector<Index> col_idx(static_cast<size_t>(nnz_out));
+  std::vector<Scalar> values(static_cast<size_t>(nnz_out));
+  size_t next = 0;
+  Offset out = 0;
+  for (Index r = 0; r < rows_; ++r) {
+    const bool listed = next < rows.size() && rows[next] == r;
+    if (listed) ++next;
+    const CsrMatrix& src = listed ? source : *this;
+    const auto cols = src.RowCols(r);
+    const auto vals = src.RowValues(r);
+    std::copy(cols.begin(), cols.end(),
+              col_idx.begin() + static_cast<long>(out));
+    std::copy(vals.begin(), vals.end(),
+              values.begin() + static_cast<long>(out));
+    out += static_cast<Offset>(cols.size());
+    row_ptr[static_cast<size_t>(r) + 1] = out;
+  }
+  // Every row is a verbatim copy of a row of a valid matrix.
+  CsrMatrix spliced = FromPartsUnchecked(rows_, cols_, std::move(row_ptr),
+                                         std::move(col_idx),
+                                         std::move(values));
+  spliced.ValidateStructure("CsrMatrix::SpliceRows");
+  return spliced;
 }
 
 Result<CsrMatrix> CsrMatrix::PlusIdentity() const {

@@ -113,6 +113,17 @@ class CsrMatrix {
   /// Diagonal entries are dropped too if drop_diagonal.
   CsrMatrix Pruned(Scalar threshold, bool drop_diagonal = false) const;
 
+  /// \brief A copy of this matrix whose rows `rows` are taken from
+  /// `source` instead: row r of the result is source.row(r) when r is
+  /// listed, this->row(r) otherwise. `rows` must be sorted, unique and in
+  /// range, and `source` must have this matrix's shape (its unlisted rows
+  /// are never read, so they may be empty). One serial O(rows + nnz) copy
+  /// pass; the splice behind every "recompute some rows, keep the rest"
+  /// update (SpGemmAAtSymmetricUpdateRows, the incremental A + Aᵀ rows,
+  /// the RmclWarmStart seed).
+  CsrMatrix SpliceRows(std::span<const Index> rows,
+                       const CsrMatrix& source) const;
+
   /// Returns A + I (square matrices only). Existing diagonal entries get +1.
   Result<CsrMatrix> PlusIdentity() const;
 

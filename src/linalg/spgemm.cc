@@ -1,6 +1,7 @@
 #include "linalg/spgemm.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "linalg/spgemm_impl.h"
 #include "obs/span.h"
@@ -16,7 +17,6 @@ using spgemm_internal::Cancelled;
 using spgemm_internal::ComputeRow;
 using spgemm_internal::ComputeUpperRow;
 using spgemm_internal::ComputeUpperRows;
-using spgemm_internal::MergeUpperRow;
 using spgemm_internal::RecordPassStats;
 using spgemm_internal::SpGemmWorkspace;
 
@@ -216,13 +216,12 @@ Result<CsrMatrix> SpGemmAAtSymmetricUpdateRows(
           static_cast<int64_t>(sizeof(Scalar) + sizeof(Index)));
   if (accum_charge.exceeded()) return options.cancel->status();
 
-  // Pass 1 over list POSITIONS: position p computes global row rows[p]
-  // through the shared upper-triangle kernel (marker stamps use the global
-  // row id, so reuse across positions stays sound), but buffers the row
-  // under p. AssembleRows with row_base = 0 then yields a compact k-row
-  // "patch" CSR whose row p holds the recomputed global row rows[p].
+  // Pass 1 over list positions: position p computes global row rows[p]
+  // through the shared upper-triangle kernel into the workers' buffers.
+  // Assembly yields an n-row patch whose unlisted rows are empty; the
+  // splice then takes the listed rows from it.
   std::vector<SpGemmWorkspace> workspaces(static_cast<size_t>(threads));
-  std::vector<Offset> row_nnz(static_cast<size_t>(k), 0);
+  std::vector<Offset> row_nnz(static_cast<size_t>(n), 0);
   ParallelForWorkers(
       0, k, threads, /*grain=*/0,
       [&](int worker, int64_t lo, int64_t hi) {
@@ -230,60 +229,32 @@ Result<CsrMatrix> SpGemmAAtSymmetricUpdateRows(
         SpGemmWorkspace& w = workspaces[static_cast<size_t>(worker)];
         w.EnsureSize(n);
         for (int64_t p = lo; p < hi; ++p) {
+          const Index r = rows[static_cast<size_t>(p)];
           const size_t before = w.cols.size();
-          ComputeUpperRow(a, a_transpose, row_scale, col_scale,
-                          rows[static_cast<size_t>(p)], options, w);
-          row_nnz[static_cast<size_t>(p)] =
+          ComputeUpperRow(a, a_transpose, row_scale, col_scale, r, options,
+                          w);
+          row_nnz[static_cast<size_t>(r)] =
               static_cast<Offset>(w.cols.size() - before);
-          w.rows.push_back(static_cast<Index>(p));
+          w.rows.push_back(r);
         }
       });
   if (Cancelled(options.cancel)) return options.cancel->status();
-  MemoryCharge assembly_charge(options.cancel, AssemblyBytes(k, workspaces));
+  MemoryCharge assembly_charge(options.cancel, AssemblyBytes(n, workspaces));
   if (assembly_charge.exceeded()) return options.cancel->status();
   RecordPassStats(span, workspaces, threads);
   const CsrMatrix patch =
-      AssembleRows(k, n, threads, workspaces, row_nnz,
+      AssembleRows(n, n, threads, workspaces, row_nnz,
                    /*row_base=*/0, "SpGemmAAtSymmetricUpdateRows(patch)");
 
-  // Splice: serial two-cursor pass replacing the listed rows of the cached
-  // triangle with the patch rows. Memcpy-bound O(nnz); kept serial so the
-  // only parallel surface of the update is the shared row kernel above.
-  const Offset spliced_nnz =
-      cached_upper.nnz() + patch.nnz() -
-      [&] {
-        Offset replaced = 0;
-        for (Index r : rows) replaced += cached_upper.RowNnz(r);
-        return replaced;
-      }();
+  Offset spliced_nnz = cached_upper.nnz() + patch.nnz();
+  for (Index r : rows) spliced_nnz -= cached_upper.RowNnz(r);
   MemoryCharge splice_charge(
       options.cancel,
       spliced_nnz * static_cast<int64_t>(sizeof(Index) + sizeof(Scalar)) +
           (static_cast<int64_t>(n) + 1) *
               static_cast<int64_t>(sizeof(Offset)));
   if (splice_charge.exceeded()) return options.cancel->status();
-  std::vector<Offset> row_ptr(static_cast<size_t>(n) + 1, 0);
-  std::vector<Index> col_idx(static_cast<size_t>(spliced_nnz));
-  std::vector<Scalar> values(static_cast<size_t>(spliced_nnz));
-  size_t next = 0;
-  Offset out = 0;
-  for (Index r = 0; r < n; ++r) {
-    const bool patched = next < rows.size() && rows[next] == r;
-    const CsrMatrix& src = patched ? patch : cached_upper;
-    const Index src_row = patched ? static_cast<Index>(next) : r;
-    if (patched) ++next;
-    const auto cols = src.RowCols(src_row);
-    const auto vals = src.RowValues(src_row);
-    std::copy_n(cols.begin(), cols.size(),
-                col_idx.begin() + static_cast<long>(out));
-    std::copy_n(vals.begin(), vals.size(),
-                values.begin() + static_cast<long>(out));
-    out += static_cast<Offset>(cols.size());
-    row_ptr[static_cast<size_t>(r) + 1] = out;
-  }
-  CsrMatrix spliced = CsrMatrix::FromPartsUnchecked(
-      n, n, std::move(row_ptr), std::move(col_idx), std::move(values));
-  spliced.ValidateStructure("SpGemmAAtSymmetricUpdateRows");
+  CsrMatrix spliced = cached_upper.SpliceRows(rows, patch);
   span.Metric("output_nnz", spliced.nnz());
   return spliced;
 }
@@ -325,7 +296,7 @@ Result<CsrMatrix> SpGemmSymmetricSum(const CsrMatrix& upper_b,
           const Index r = static_cast<Index>(r64);
           const size_t before = w.cols.size();
           w.dropped +=
-              MergeUpperRow(upper_b, upper_c, r, r, options, w.cols, w.vals);
+              MergeRowSum(upper_b, upper_c, r, r, options, w.cols, w.vals);
           row_nnz[static_cast<size_t>(r)] =
               static_cast<Offset>(w.cols.size() - before);
           w.rows.push_back(r);
@@ -348,6 +319,55 @@ Result<CsrMatrix> SpGemmSymmetricSum(const CsrMatrix& upper_b,
   Result<CsrMatrix> full = MirrorUpperTriangle(merged, options.num_threads);
   if (full.ok()) span.Metric("output_nnz", full->nnz());
   return full;
+}
+
+int64_t MergeRowSum(const CsrMatrix& b, const CsrMatrix& c, Index local,
+                    Index row, const SpGemmOptions& options,
+                    std::vector<Index>& cols, std::vector<Scalar>& vals) {
+  auto bc = b.RowCols(local);
+  auto bv = b.RowValues(local);
+  auto cc = c.RowCols(local);
+  auto cv = c.RowValues(local);
+  int64_t dropped = 0;
+  size_t i = 0, j = 0;
+  while (i < bc.size() || j < cc.size()) {
+    Index col;
+    Scalar v;
+    if (j >= cc.size() || (i < bc.size() && bc[i] < cc[j])) {
+      col = bc[i];
+      v = bv[i];
+      ++i;
+    } else if (i >= bc.size() || cc[j] < bc[i]) {
+      col = cc[j];
+      v = cv[j];
+      ++j;
+    } else {
+      col = bc[i];
+      v = bv[i] + cv[j];
+      ++i;
+      ++j;
+    }
+    if (options.threshold > 0.0 && std::abs(v) < options.threshold) {
+      ++dropped;
+      continue;
+    }
+    if (options.drop_diagonal && col == row) continue;
+    cols.push_back(col);
+    vals.push_back(v);
+  }
+  return dropped;
+}
+
+ProductSumOptions SplitProductSumThreshold(Scalar threshold, int num_threads,
+                                           CancelToken* cancel) {
+  ProductSumOptions split;
+  split.product.threshold = threshold / 2.0;
+  split.product.drop_diagonal = true;
+  split.product.num_threads = num_threads;
+  split.product.cancel = cancel;
+  split.sum = split.product;
+  split.sum.threshold = threshold;
+  return split;
 }
 
 Result<CsrMatrix> MirrorUpperTriangle(const CsrMatrix& upper,

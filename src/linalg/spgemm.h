@@ -11,7 +11,9 @@
 //    half the flops and half the intermediate memory of the general path.
 #pragma once
 
+#include <cstdint>
 #include <span>
+#include <vector>
 
 #include "linalg/csr_matrix.h"
 #include "util/budget.h"
@@ -114,7 +116,9 @@ Result<CsrMatrix> SpGemmAAtSymmetric(const CsrMatrix& a,
 /// cached bytes and listed rows are recomputed by the exact same kernel.
 /// Unlike SpGemmAAtSymmetric, `a_transpose` is required here: the caller
 /// maintains both orientations incrementally anyway, and rebuilding it for
-/// a handful of rows would defeat the point.
+/// a handful of rows would defeat the point. The recomputed rows go in
+/// through CsrMatrix::SpliceRows; when `rows` lists every row no cached
+/// row is kept, so an n x n CsrMatrix::Zero fills a triangle from empty.
 Result<CsrMatrix> SpGemmAAtSymmetricUpdateRows(
     const CsrMatrix& a, std::span<const Scalar> row_scale,
     std::span<const Scalar> col_scale, const SpGemmOptions& options,
@@ -130,6 +134,29 @@ Result<CsrMatrix> SpGemmAAtSymmetricUpdateRows(
 Result<CsrMatrix> SpGemmSymmetricSum(const CsrMatrix& upper_b,
                                      const CsrMatrix& upper_c,
                                      const SpGemmOptions& options = {});
+
+/// \brief Appends row `row` of prune(B + C) to cols / vals: the two-pointer
+/// merge of b.row(local) and c.row(local) in ascending column order, B's
+/// operand first — the order CsrMatrix::Add visits, so shared entries sum
+/// with identical rounding — dropping |v| < options.threshold (when > 0)
+/// and, with options.drop_diagonal, column `row`. Returns the threshold
+/// drops. The one row merge behind SpGemmSymmetricSum, the tiled driver
+/// (`local` is the row within the tile) and the incremental A + Aᵀ rows
+/// (b = A, c = Aᵀ, threshold 0: row r of drop_diag(A + Aᵀ)).
+int64_t MergeRowSum(const CsrMatrix& b, const CsrMatrix& c, Index local,
+                    Index row, const SpGemmOptions& options,
+                    std::vector<Index>& cols, std::vector<Scalar>& vals);
+
+/// The Section 3.5 prune split of a similarity product-sum with threshold
+/// t: each product (B, C) drops entries below t / 2, their sum drops
+/// entries below t, and both drop the diagonal (similarity graphs carry no
+/// self-loops).
+struct ProductSumOptions {
+  SpGemmOptions product;
+  SpGemmOptions sum;
+};
+ProductSumOptions SplitProductSumThreshold(Scalar threshold, int num_threads,
+                                           CancelToken* cancel = nullptr);
 
 /// \brief Expands an upper-triangle matrix (entries with col ≥ row only)
 /// into the full symmetric CSR in a parallel two-pass assembly: per-row

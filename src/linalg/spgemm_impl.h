@@ -1,7 +1,7 @@
 // Internal machinery shared by the in-memory SpGEMM kernels (spgemm.cc)
 // and the out-of-core tiled driver (spgemm_tiled.cc): per-worker
 // workspaces, the per-row Gustavson / upper-triangle kernels, the two-pass
-// row assembly, the row-range upper-product pass and the row merge. NOT
+// row assembly and the row-range upper-product pass. NOT
 // part of the public API — include only from linalg kernel translation
 // units.
 //
@@ -304,51 +304,6 @@ inline Result<CsrMatrix> ComputeUpperRows(
   if (assembly_charge.exceeded()) return options.cancel->status();
   return AssembleRows(hi - lo, n, threads, workspaces, row_nnz,
                       /*row_base=*/lo, context);
-}
-
-/// Appends global row `row` of prune(B + C) to cols / vals: the two-pointer
-/// merge of upper-triangle rows b.row(local) and c.row(local) in ascending
-/// column order — the order CsrMatrix::Add visits, so shared entries sum
-/// with identical rounding — dropping |v| < options.threshold (when > 0)
-/// and, with options.drop_diagonal, the diagonal. Returns the threshold
-/// drops. The one merge behind SpGemmSymmetricSum and the tiled driver.
-inline int64_t MergeUpperRow(const CsrMatrix& b, const CsrMatrix& c,
-                             Index local, Index row,
-                             const SpGemmOptions& options,
-                             std::vector<Index>& cols,
-                             std::vector<Scalar>& vals) {
-  auto bc = b.RowCols(local);
-  auto bv = b.RowValues(local);
-  auto cc = c.RowCols(local);
-  auto cv = c.RowValues(local);
-  int64_t dropped = 0;
-  size_t i = 0, j = 0;
-  while (i < bc.size() || j < cc.size()) {
-    Index col;
-    Scalar v;
-    if (j >= cc.size() || (i < bc.size() && bc[i] < cc[j])) {
-      col = bc[i];
-      v = bv[i];
-      ++i;
-    } else if (i >= bc.size() || cc[j] < bc[i]) {
-      col = cc[j];
-      v = cv[j];
-      ++j;
-    } else {
-      col = bc[i];
-      v = bv[i] + cv[j];
-      ++i;
-      ++j;
-    }
-    if (options.threshold > 0.0 && std::abs(v) < options.threshold) {
-      ++dropped;
-      continue;
-    }
-    if (options.drop_diagonal && col == row) continue;
-    cols.push_back(col);
-    vals.push_back(v);
-  }
-  return dropped;
 }
 
 /// Attaches the shared post-pass-1 instrumentation: deterministic

@@ -18,7 +18,6 @@ namespace dgc {
 
 using spgemm_internal::Cancelled;
 using spgemm_internal::ComputeUpperRows;
-using spgemm_internal::MergeUpperRow;
 using spgemm_internal::SpGemmWorkspace;
 
 namespace {
@@ -258,14 +257,8 @@ Result<CsrMatrix> SymmetricProductSum(
   if (!s.ok()) return s;
   CancelToken* cancel = options.cancel;
 
-  // The Section 3.5 split: each product pruned at t / 2, the sum at t.
-  SpGemmOptions product_options;
-  product_options.threshold = options.threshold / 2.0;
-  product_options.drop_diagonal = true;
-  product_options.num_threads = options.num_threads;
-  product_options.cancel = cancel;
-  SpGemmOptions sum_options = product_options;
-  sum_options.threshold = options.threshold;
+  auto [product_options, sum_options] = SplitProductSumThreshold(
+      options.threshold, options.num_threads, cancel);
 
   const TilePlan plan = PlanRowTiles(a, at, options);
   const size_t tiles = plan.cuts.size() - 1;
@@ -342,7 +335,7 @@ Result<CsrMatrix> SymmetricProductSum(
     merged_vals.clear();
     for (Index r = lo; r < hi; ++r) {
       const size_t before = merged_cols.size();
-      merge_dropped += MergeUpperRow(b_tile, c_tile, r - lo, r, sum_options,
+      merge_dropped += MergeRowSum(b_tile, c_tile, r - lo, r, sum_options,
                                      merged_cols, merged_vals);
       row_nnz[static_cast<size_t>(r)] =
           static_cast<Offset>(merged_cols.size() - before);

@@ -2,7 +2,7 @@
 // (docs/OUT_OF_CORE.md): U = mirror(prune(B + C)) over row-block tiles.
 // A one-tile plan runs the in-memory kernels (SpGemmAAtSymmetric twice,
 // then SpGemmSymmetricSum). With several tiles, each block runs through the
-// same row-range pass and row merge (spgemm_impl.h), finished
+// same row-range pass (spgemm_impl.h) and row merge (MergeRowSum), finished
 // upper-triangle blocks are spilled to a temp-file spool, and one final
 // sequential pass stitches the spool into the mirrored output CSR.
 //

@@ -11,8 +11,6 @@
 namespace dgc {
 namespace audit {
 
-namespace {
-
 struct SpanRec {
   const char* end;  // one past the last written byte
   uint64_t chunk;
@@ -20,23 +18,16 @@ struct SpanRec {
   const char* label;
 };
 
-// One registry for the whole process: the library is driven from one caller
-// thread, and should two genuinely independent top-level loops ever run
-// concurrently, overlapping writes between them are a real race too.
-struct Registry {
+struct Region {
   std::mutex mutex;
   // start byte -> span; non-overlapping by invariant (same-chunk overlaps
   // are merged on insert, cross-chunk overlaps are fatal). Address keying
   // is the point here: the registry compares buffer ranges within one
   // process run and never feeds any output.
   std::map<const char*, SpanRec> spans;  // dgc-analyze: allow(nd-pointer-keyed) diagnostic registry keyed on audited addresses; order never reaches output
-  int depth = 0;  // nesting depth of open regions
 };
 
-Registry& GetRegistry() {
-  static Registry* r = new Registry();  // leaked: outlives pool workers
-  return *r;
-}
+namespace {
 
 std::atomic<int64_t> g_total_spans{0};
 std::atomic<uint64_t> g_next_chunk{0};
@@ -44,31 +35,34 @@ std::atomic<uint64_t> g_next_chunk{0};
 // 0 = not inside any chunk (serial code): registrations are ignored.
 thread_local uint64_t t_chunk = 0;
 thread_local int t_worker = -1;
+// The region whose loop or chunk this thread is in; null in serial code.
+thread_local Region* t_region = nullptr;
 
 }  // namespace
 
-RegionScope::RegionScope() {
-  Registry& reg = GetRegistry();
-  std::lock_guard<std::mutex> lock(reg.mutex);
-  ++reg.depth;
+RegionScope::RegionScope() : region_(t_region) {
+  if (region_ == nullptr) {
+    owned_ = std::make_unique<Region>();
+    region_ = owned_.get();
+    t_region = region_;
+  }
+  // Else: a loop nested in a chunk — keep the enclosing region.
 }
 
 RegionScope::~RegionScope() {
-  Registry& reg = GetRegistry();
-  std::lock_guard<std::mutex> lock(reg.mutex);
-  if (--reg.depth == 0) {
-    // Outermost region ended: later loops are sequentially ordered after
-    // this one, so their writes must not be compared against these.
-    reg.spans.clear();
-  }
+  // An outermost region ended: later loops on this thread are ordered after
+  // it, so their writes must not be compared against these.
+  if (owned_ != nullptr) t_region = nullptr;
 }
 
-ChunkScope::ChunkScope(int worker) : saved_chunk_(t_chunk),
-                                     saved_worker_(t_worker) {
+ChunkScope::ChunkScope(int worker, Region* region)
+    : saved_chunk_(t_chunk), saved_worker_(t_worker),
+      saved_region_(t_region) {
   if (t_chunk == 0) {
     // memory_order_relaxed: ids only need uniqueness, not ordering.
     t_chunk = 1 + g_next_chunk.fetch_add(1, std::memory_order_relaxed);
     t_worker = worker;
+    t_region = region;
   }
   // Else: nested serialized loop — keep attributing to the enclosing chunk.
 }
@@ -76,6 +70,7 @@ ChunkScope::ChunkScope(int worker) : saved_chunk_(t_chunk),
 ChunkScope::~ChunkScope() {
   t_chunk = saved_chunk_;
   t_worker = saved_worker_;
+  t_region = saved_region_;
 }
 
 void RegisterWriteBytes(const void* begin, size_t bytes, const char* label) {
@@ -83,7 +78,7 @@ void RegisterWriteBytes(const void* begin, size_t bytes, const char* label) {
   const char* lo = static_cast<const char*>(begin);
   const char* hi = lo + bytes;
 
-  Registry& reg = GetRegistry();
+  Region& reg = *t_region;
   std::lock_guard<std::mutex> lock(reg.mutex);
   g_total_spans.fetch_add(1, std::memory_order_relaxed);
 

@@ -23,37 +23,55 @@
 // grain = 1 to make every index its own chunk.
 //
 // Spans registered outside any parallel region (serial code) are ignored.
-// The registry is cleared when the outermost region ends; sequentially
-// ordered loops are never compared against each other.
+// Each outermost region — a loop entered from serial code — owns its span
+// registry, and the pool hands that region to every chunk it runs for it,
+// so spans are compared only within one region. Sequentially ordered loops
+// on one thread are never compared against each other, and neither are
+// loops that independent caller threads run at the same time (a request
+// served on one thread while another is inside a loop): their buffers are
+// private to each caller, and a genuine race between callers is
+// ThreadSanitizer's job.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 
 namespace dgc {
 namespace audit {
+
+/// One outermost parallel region's span registry.
+struct Region;
 
 #if defined(DGC_PARALLEL_AUDIT)
 
 inline constexpr bool kEnabled = true;
 
-/// Pool-internal: brackets one parallel loop. Outermost exit clears the
-/// span registry. Nested (serialized) loops keep the enclosing region.
+/// Pool-internal: brackets one parallel loop. An outermost loop opens a
+/// fresh region and drops its spans on exit; a loop nested in a chunk
+/// (serialized) keeps the enclosing region.
 class RegionScope {
  public:
   RegionScope();
   ~RegionScope();
   RegionScope(const RegionScope&) = delete;
   RegionScope& operator=(const RegionScope&) = delete;
+
+  /// The region this loop's chunks register into.
+  Region* region() const { return region_; }
+
+ private:
+  std::unique_ptr<Region> owned_;  ///< set for an outermost loop only
+  Region* region_;
 };
 
-/// Pool-internal: brackets one body invocation (one claimed chunk) on the
-/// calling thread. Allocates a fresh chunk id unless the thread is already
-/// inside a chunk (nested parallelism), in which case writes keep
-/// attributing to the enclosing chunk.
+/// Pool-internal: brackets one body invocation (one claimed chunk) of
+/// `region` on the calling thread. Allocates a fresh chunk id unless the
+/// thread is already inside a chunk (nested parallelism), in which case
+/// writes keep attributing to the enclosing chunk.
 class ChunkScope {
  public:
-  explicit ChunkScope(int worker);
+  ChunkScope(int worker, Region* region);
   ~ChunkScope();
   ChunkScope(const ChunkScope&) = delete;
   ChunkScope& operator=(const ChunkScope&) = delete;
@@ -61,6 +79,7 @@ class ChunkScope {
  private:
   uint64_t saved_chunk_;
   int saved_worker_;
+  Region* saved_region_;
 };
 
 /// Registers [begin, begin + bytes) as written by the current chunk;
@@ -77,10 +96,13 @@ int64_t TotalSpansRegistered();
 
 inline constexpr bool kEnabled = false;
 
-class RegionScope {};
+class RegionScope {
+ public:
+  Region* region() const { return nullptr; }
+};
 class ChunkScope {
  public:
-  explicit ChunkScope(int) {}
+  ChunkScope(int, Region*) {}
 };
 inline void RegisterWriteBytes(const void*, size_t, const char*) {}
 inline int64_t TotalSpansRegistered() { return 0; }

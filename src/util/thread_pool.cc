@@ -106,8 +106,8 @@ void ParallelForWorkers(
     // Serial/nested path: still bracketed for the write-set auditor so a
     // top-level serial loop gets a region (one chunk, trivially race-free)
     // and a nested loop keeps attributing writes to the enclosing chunk.
-    [[maybe_unused]] audit::RegionScope audit_region;
-    [[maybe_unused]] audit::ChunkScope audit_chunk(0);
+    audit::RegionScope audit_region;
+    [[maybe_unused]] audit::ChunkScope audit_chunk(0, audit_region.region());
     body(0, begin, end);
     return;
   }
@@ -122,7 +122,10 @@ void ParallelForWorkers(
   state.next.store(begin, std::memory_order_relaxed);
   state.pending = threads - 1;
 
-  auto run = [&state, &body, end, grain](int worker) {
+  // The region goes to every chunk, whichever thread runs it.
+  audit::RegionScope audit_region;
+  audit::Region* region = audit_region.region();
+  auto run = [&state, &body, end, grain, region](int worker) {
     t_inside_parallel_region = true;
     for (;;) {
       const int64_t lo =
@@ -131,13 +134,12 @@ void ParallelForWorkers(
       // Each claimed chunk gets its own audit identity: cross-chunk write
       // overlaps are scheduling hazards even when both chunks happen to
       // land on the same worker this run.
-      [[maybe_unused]] audit::ChunkScope audit_chunk(worker);
+      [[maybe_unused]] audit::ChunkScope audit_chunk(worker, region);
       body(worker, lo, std::min(end, lo + grain));
     }
     t_inside_parallel_region = false;
   };
 
-  [[maybe_unused]] audit::RegionScope audit_region;
   ThreadPool& pool = GlobalThreadPool();
   pool.EnsureWorkers(threads - 1);
   for (int w = 1; w < threads; ++w) {

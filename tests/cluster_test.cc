@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <set>
 #include <vector>
 
@@ -246,34 +247,87 @@ TEST(RmclTest, IdenticalRowsSplitWhenTheCollapseFires) {
   EXPECT_EQ(out->RowValues(1)[0], 1.0);
 }
 
-TEST(RmclTest, IdenticalRowsStayIdenticalUnderClassicMcl) {
-  // Projection gives both children of a supernode the same flow row; with
-  // expansion M*M (regularized = false) they must stay identical too.
-  UGraph coarse_graph = BlockGraph(3, 6);
-  const CsrMatrix coarse = BuildFlowMatrix(coarse_graph, 1.0);
-  std::vector<Index> to_coarser;
-  for (Index i = 0; i < 2 * coarse.rows(); ++i) to_coarser.push_back(i / 2);
-  auto fine = ProjectFlow(coarse, to_coarser, 2 * coarse.rows());
-  ASSERT_TRUE(fine.ok());
-  // Classic MCL never reads M_G; it only has to match M's shape.
-  const CsrMatrix mg = BuildFlowMatrix(BlockGraph(6, 6), 1.0);
+/// True when a and b hold the same CSR bytes: shape, row pointers, column
+/// indices and value bit patterns.
+bool SameBytes(const CsrMatrix& a, const CsrMatrix& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols() || a.nnz() != b.nnz()) {
+    return false;
+  }
+  return std::equal(a.row_ptr().begin(), a.row_ptr().end(),
+                    b.row_ptr().begin()) &&
+         std::equal(a.col_idx().begin(), a.col_idx().end(),
+                    b.col_idx().begin()) &&
+         std::memcmp(a.values().data(), b.values().data(),
+                     a.values().size() * sizeof(Scalar)) == 0;
+}
+
+TEST(RmclWarmStartTest, EveryRowTouchedMatchesAColdRun) {
+  const UGraph g = BlockGraph(4, 8);
   RmclOptions options;
-  options.regularized = false;
-  options.convergence_tol = 0.0;
-  auto out = RmclIterate(*fine, mg, options, 6);
-  ASSERT_TRUE(out.ok());
-  for (Index r = 0; r < out->rows(); r += 2) {
-    const auto cols = out->RowCols(r);
-    const auto vals = out->RowValues(r);
-    EXPECT_EQ(std::vector<Index>(cols.begin(), cols.end()),
-              std::vector<Index>(out->RowCols(r + 1).begin(),
-                                 out->RowCols(r + 1).end()))
+  const CsrMatrix mg = BuildFlowMatrix(g, options.self_loop_scale);
+  // A stale flow that a touched row must never leak into the seed.
+  const CsrMatrix stale = CsrMatrix::Identity(g.NumVertices());
+  std::vector<Index> all(static_cast<size_t>(g.NumVertices()));
+  for (Index r = 0; r < g.NumVertices(); ++r) all[static_cast<size_t>(r)] = r;
+  for (int iterations : {0, 3, 20}) {
+    CsrMatrix warm_flow;
+    auto warm = RmclWarmStart(g, stale, all, options, iterations, &warm_flow);
+    ASSERT_TRUE(warm.ok());
+    auto cold = RmclIterate(mg, mg, options, iterations);
+    ASSERT_TRUE(cold.ok());
+    EXPECT_TRUE(SameBytes(warm_flow, *cold)) << iterations << " iterations";
+    EXPECT_EQ(warm->labels(), FlowToClustering(*cold).labels())
+        << iterations << " iterations";
+  }
+}
+
+TEST(RmclWarmStartTest, SeedKeepsPreviousRowsAndReseedsTouchedOnes) {
+  const UGraph g = BlockGraph(3, 6);
+  RmclOptions options;
+  const CsrMatrix mg = BuildFlowMatrix(g, options.self_loop_scale);
+  auto converged = RmclIterate(mg, mg, options, options.max_iterations);
+  ASSERT_TRUE(converged.ok());
+  // Zero iterations return the seed itself.
+  CsrMatrix seed;
+  ASSERT_TRUE(RmclWarmStart(g, *converged, {}, options, 0, &seed).ok());
+  EXPECT_TRUE(SameBytes(seed, *converged));
+
+  const std::vector<Index> touched = {0, 7, 17};
+  ASSERT_TRUE(RmclWarmStart(g, *converged, touched, options, 0, &seed).ok());
+  for (Index r = 0; r < g.NumVertices(); ++r) {
+    const bool is_touched =
+        std::binary_search(touched.begin(), touched.end(), r);
+    const CsrMatrix& src = is_touched ? mg : *converged;
+    EXPECT_TRUE(std::equal(seed.RowCols(r).begin(), seed.RowCols(r).end(),
+                           src.RowCols(r).begin(), src.RowCols(r).end()))
         << "row " << r;
-    EXPECT_EQ(std::vector<Scalar>(vals.begin(), vals.end()),
-              std::vector<Scalar>(out->RowValues(r + 1).begin(),
-                                  out->RowValues(r + 1).end()))
+    EXPECT_EQ(seed.RowNnz(r), src.RowNnz(r)) << "row " << r;
+    EXPECT_EQ(std::memcmp(seed.RowValues(r).data(), src.RowValues(r).data(),
+                          src.RowValues(r).size() * sizeof(Scalar)),
+              0)
         << "row " << r;
   }
+}
+
+TEST(RmclWarmStartTest, RejectsBadTouchedRowsAndShapes) {
+  const UGraph g = BlockGraph(2, 4);
+  RmclOptions options;
+  const CsrMatrix mg = BuildFlowMatrix(g, options.self_loop_scale);
+  const std::vector<Index> unsorted = {3, 1};
+  EXPECT_EQ(RmclWarmStart(g, mg, unsorted, options, 2).status().code(),
+            StatusCode::kInvalidArgument);
+  const std::vector<Index> duplicate = {1, 1};
+  EXPECT_EQ(RmclWarmStart(g, mg, duplicate, options, 2).status().code(),
+            StatusCode::kInvalidArgument);
+  const std::vector<Index> out_of_range = {2, g.NumVertices()};
+  EXPECT_EQ(RmclWarmStart(g, mg, out_of_range, options, 2).status().code(),
+            StatusCode::kOutOfRange);
+  const std::vector<Index> negative = {-1};
+  EXPECT_EQ(RmclWarmStart(g, mg, negative, options, 2).status().code(),
+            StatusCode::kOutOfRange);
+  const CsrMatrix wrong_shape = CsrMatrix::Identity(g.NumVertices() + 1);
+  EXPECT_EQ(RmclWarmStart(g, wrong_shape, {}, options, 2).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(FlowToClusteringTest, AttractorChainsMerge) {

@@ -253,6 +253,32 @@ TEST(CsrMatrixTest, AddRejectsShapeMismatch) {
                               CsrMatrix::Zero(3, 3)).ok());
 }
 
+TEST(CsrMatrixTest, SpliceRowsTakesListedRowsFromSource) {
+  const CsrMatrix base =
+      Make(4, 4, {{0, 1, 1.0}, {1, 2, 2.0}, {2, 0, 3.0}, {3, 3, 4.0}});
+  // Unlisted rows of the source are never read.
+  const CsrMatrix source =
+      Make(4, 4, {{0, 0, 9.0}, {1, 0, 5.0}, {1, 3, 6.0}, {3, 2, 7.0}});
+  const std::vector<Index> rows = {1, 2};
+  const CsrMatrix spliced = base.SpliceRows(rows, source);
+  EXPECT_TRUE(spliced.Validate().ok());
+  EXPECT_EQ(spliced, Make(4, 4,
+                          {{0, 1, 1.0}, {1, 0, 5.0}, {1, 3, 6.0},
+                           {3, 3, 4.0}}));
+  EXPECT_EQ(base.SpliceRows({}, source), base);
+  const std::vector<Index> all = {0, 1, 2, 3};
+  EXPECT_EQ(base.SpliceRows(all, source), source);
+}
+
+TEST(CsrMatrixDeathTest, SpliceRowsRejectsUnsortedRows) {
+  const CsrMatrix base = CsrMatrix::Identity(3);
+  const std::vector<Index> unsorted = {2, 1};
+  EXPECT_DEATH(base.SpliceRows(unsorted, base), "sorted, unique and in range");
+  const std::vector<Index> out_of_range = {3};
+  EXPECT_DEATH(base.SpliceRows(out_of_range, base),
+               "sorted, unique and in range");
+}
+
 TEST(CsrMatrixTest, MultiplyVector) {
   CsrMatrix m = Make(2, 3, {{0, 0, 1.0}, {0, 2, 2.0}, {1, 1, 3.0}});
   std::vector<Scalar> x = {1.0, 2.0, 3.0};

@@ -7,6 +7,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <vector>
+
+#include "dynamic/delta_io.h"
 
 namespace dgc {
 namespace {
@@ -243,6 +247,114 @@ TEST_F(IoTest, ClusteringRejectsGarbageLabels) {
 
   WriteFile("c_trail.txt", "0 junk\n");
   EXPECT_FALSE(ReadClustering(Path("c_trail.txt")).ok());
+}
+
+// One malformed line and the exact Status::ToString() it must produce. `{}`
+// in `expected` stands for the file path, so the path:line:column anchor is
+// pinned too.
+struct DiagnosticCase {
+  const char* line;
+  const char* expected;
+};
+
+std::string Expand(const std::string& pattern, const std::string& path) {
+  std::string out = pattern;
+  const size_t at = out.find("{}");
+  if (at != std::string::npos) out.replace(at, 2, path);
+  return out;
+}
+
+// Every diagnostic of the delta-stream reader, byte for byte. Each case is
+// the second line of its file (after a comment) so the line count is pinned.
+TEST_F(IoTest, DeltaReaderDiagnosticsArePinned) {
+  const std::vector<DiagnosticCase> cases = {
+      {"* 1 2",
+       "IOError: {}:2:1: unknown delta op '*' (expected '+', '-', or "
+       "'---')"},
+      {"+", "IOError: {}:2:2: missing source vertex"},
+      {"- 1", "IOError: {}:2:4: missing destination vertex"},
+      {"+ -1 2", "IOError: {}:2:3: negative source vertex -1"},
+      {"- 3 -7", "IOError: {}:2:5: negative destination vertex -7"},
+      {"+ 10 2", "OutOfRange: {}:2:3: source vertex 10 outside [0, 10)"},
+      {"+ 9 10", "OutOfRange: {}:2:5: destination vertex 10 outside [0, 10)"},
+      {"+ 1 99999999999999999999",
+       "OutOfRange: {}:2:5: destination vertex '99999999999999999999' "
+       "overflows a 64-bit integer"},
+      {"+ x 2", "IOError: {}:2:3: malformed source vertex 'x'"},
+      {"+ 1 2 inf",
+       "IOError: {}:2:7: weight must be finite and positive, got 'inf'"},
+      {"+ 1 2 0",
+       "IOError: {}:2:7: weight must be finite and positive, got '0'"},
+      {"+ 1 2 -1",
+       "IOError: {}:2:7: weight must be finite and positive, got '-1'"},
+      {"+ 1 2 1e999",
+       "OutOfRange: {}:2:7: weight '1e999' is out of double range"},
+      {"+ 1 2 1.5x", "IOError: {}:2:7: malformed weight '1.5x'"},
+      {"+ 1 2 3 x", "IOError: {}:2:9: trailing junk after insert"},
+      {"- 1 2 x", "IOError: {}:2:7: trailing junk after delete"},
+      {"--- x", "IOError: {}:2:5: trailing junk after batch separator"},
+      {"+ 1 2 0.5 # comment",
+       "IOError: {}:2:11: trailing junk after insert"},
+      {"+ 1 2 1.0 # far too long for the limit",
+       "OutOfRange: {}:2:33: line exceeds IoLimits.max_line_bytes = 32"},
+  };
+  IoLimits limits;
+  limits.max_line_bytes = 32;
+  for (size_t i = 0; i < cases.size(); ++i) {
+    const std::string name = "delta_" + std::to_string(i) + ".txt";
+    WriteFile(name, std::string("# header\n") + cases[i].line + "\n");
+    auto result = ReadDeltaBatches(Path(name), 10, limits);
+    ASSERT_FALSE(result.ok()) << cases[i].line;
+    EXPECT_EQ(result.status().ToString(),
+              Expand(cases[i].expected, Path(name)))
+        << cases[i].line;
+  }
+}
+
+// The edge-list reader's diagnostics for the same classes of bad line;
+// "OK" marks a line the edge-list format accepts.
+TEST_F(IoTest, EdgeListReaderDiagnosticsArePinned) {
+  const std::vector<DiagnosticCase> cases = {
+      {"1",
+       "IOError: {}:2:2: expected 'src dst [weight]': missing destination "
+       "vertex id"},
+      {"x 2", "IOError: {}:2:1: malformed source vertex id 'x'"},
+      {"-1 2", "OutOfRange: {}:2:1: negative vertex id -1"},
+      {"3 -7", "OutOfRange: {}:2:3: negative vertex id -7"},
+      {"10 2",
+       "OutOfRange: {}:2:1: vertex id 10 >= declared num_vertices 10"},
+      {"1 99999999999999999999",
+       "OutOfRange: {}:2:3: destination vertex id '99999999999999999999' "
+       "overflows a 64-bit integer"},
+      {"1 2 inf", "IOError: {}:2:5: non-finite edge weight 'inf'"},
+      {"1 2 0", "OK"},
+      {"1 2 -1", "IOError: {}:2:5: negative edge weight '-1'"},
+      {"1 2 1e999",
+       "OutOfRange: {}:2:5: edge weight '1e999' is out of double range"},
+      {"1 2 1.5x", "IOError: {}:2:5: malformed edge weight '1.5x'"},
+      {"1 2 3 x",
+       "IOError: {}:2:7: unexpected trailing content after 'src dst "
+       "weight'"},
+      {"1 2 1.0 # far too long for the limit",
+       "OutOfRange: {}:2:33: line exceeds IoLimits.max_line_bytes = 32"},
+  };
+  IoLimits limits;
+  limits.max_line_bytes = 32;
+  for (size_t i = 0; i < cases.size(); ++i) {
+    const std::string name = "edges_" + std::to_string(i) + ".txt";
+    WriteFile(name, std::string("# header\n") + cases[i].line + "\n");
+    auto result = ReadEdgeList(Path(name), 10, limits);
+    EXPECT_EQ(result.status().ToString(),
+              Expand(cases[i].expected, Path(name)))
+        << cases[i].line;
+  }
+
+  // Without a declared size the id cap is IoLimits.max_vertices.
+  WriteFile("edges_cap.txt", "# header\n2147483647 0\n");
+  EXPECT_EQ(ReadEdgeList(Path("edges_cap.txt")).status().ToString(),
+            "OutOfRange: " + Path("edges_cap.txt") +
+                ":2:1: vertex id 2147483647 >= IoLimits.max_vertices "
+                "2147483647");
 }
 
 TEST_F(IoTest, ClusteringRoundTrip) {

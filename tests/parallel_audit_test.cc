@@ -5,7 +5,10 @@
 // and register nothing.
 #include "util/parallel_audit.h"
 
+#include <condition_variable>
 #include <cstdint>
+#include <mutex>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -97,6 +100,50 @@ TEST(ParallelAuditTest, InstrumentedSpGemmRegistersSpans) {
   const CsrMatrix c = SpGemm(a, a, options).ValueOrDie();
   EXPECT_GT(c.nnz(), 0);
   EXPECT_GT(audit::TotalSpansRegistered(), before);
+}
+
+TEST(ParallelAuditTest, SequentialLoopsStayApartWhileAnotherThreadIsInALoop) {
+  // Thread B holds a loop open until A is done. A's two loops are ordered
+  // one after the other on A's thread, so their writes to the same buffer
+  // are no hazard, even though B's loop is still running somewhere else.
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool b_inside = false;
+  bool a_done = false;
+  auto hold_until_a_is_done = [&] {
+    std::unique_lock<std::mutex> lock(mutex);
+    b_inside = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return a_done; });
+  };
+  std::thread b([&] {
+    ParallelForWorkers(
+        0, 1, /*num_threads=*/1, /*grain=*/1,
+        [&](int, int64_t, int64_t) { hold_until_a_is_done(); });
+  });
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    cv.wait(lock, [&] { return b_inside; });
+  }
+  std::vector<double> out(16, 0.0);
+  for (int pass = 0; pass < 2; ++pass) {
+    ParallelForWorkers(0, 16, /*num_threads=*/2, /*grain=*/1,
+                       [&](int, int64_t lo, int64_t hi) {
+                         audit::AuditSpan span(out.data() + lo,
+                                               static_cast<size_t>(hi - lo),
+                                               "test.sequential");
+                         for (int64_t i = lo; i < hi; ++i) {
+                           out[static_cast<size_t>(i)] = 1.0 + pass;
+                         }
+                       });
+  }
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    a_done = true;
+  }
+  cv.notify_all();
+  b.join();
+  for (double v : out) EXPECT_EQ(v, 2.0);
 }
 
 TEST(ParallelAuditDeathTest, CrossChunkOverlapAborts) {

@@ -200,6 +200,37 @@ TEST(SpGemmTest, AAtCountsCommonOutLinks) {
   EXPECT_DOUBLE_EQ(b->At(1, 0), 1.0);
 }
 
+TEST(SpGemmTest, MergeRowSumIsAddWithoutTheDiagonal) {
+  // Rows of drop_diag(A + Aᵀ), merged one at a time with threshold 0, are
+  // the bytes of CsrMatrix::Add followed by dropping the diagonal.
+  const CsrMatrix a = Random(40, 40, 160, 11);
+  const CsrMatrix at = a.Transpose();
+  const CsrMatrix expected =
+      CsrMatrix::Add(a, at).ValueOrDie().Pruned(0.0, /*drop_diagonal=*/true);
+  SpGemmOptions options;
+  options.drop_diagonal = true;
+  std::vector<Offset> row_ptr = {0};
+  std::vector<Index> cols;
+  std::vector<Scalar> vals;
+  for (Index r = 0; r < a.rows(); ++r) {
+    EXPECT_EQ(MergeRowSum(a, at, r, r, options, cols, vals), 0);
+    row_ptr.push_back(static_cast<Offset>(cols.size()));
+  }
+  auto merged = CsrMatrix::FromParts(40, 40, row_ptr, cols, vals);
+  ASSERT_TRUE(merged.ok());
+  EXPECT_EQ(*merged, expected);
+}
+
+TEST(SpGemmTest, ProductSumSplitPrunesProductsAtHalfTheThreshold) {
+  const ProductSumOptions split = SplitProductSumThreshold(0.5, 4);
+  EXPECT_EQ(split.product.threshold, 0.25);
+  EXPECT_EQ(split.sum.threshold, 0.5);
+  EXPECT_TRUE(split.product.drop_diagonal);
+  EXPECT_TRUE(split.sum.drop_diagonal);
+  EXPECT_EQ(split.product.num_threads, 4);
+  EXPECT_EQ(split.sum.num_threads, 4);
+}
+
 TEST(SpGemmTest, MultiThreadedMatchesSingleThreaded) {
   CsrMatrix a = Random(60, 60, 700, 7);
   SpGemmOptions single;
