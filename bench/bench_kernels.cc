@@ -653,8 +653,8 @@ int main(int argc, char** argv) {
       storage.emplace_back(arg);
     }
   }
-  // Baseline-integrity guard: a debug binary must not silently produce the
-  // JSON that BENCH_kernels.json baselines are appended from. The override
+  // Measurement-integrity guard: a debug binary must not silently produce
+  // the JSON that same-build A/B comparisons are read from. The override
   // still tags the report so a debug artifact can never masquerade as a
   // Release measurement.
   if (wants_json && !release_build && !allow_debug_json) {

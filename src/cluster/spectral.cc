@@ -26,7 +26,6 @@ Result<DenseMatrix> NormalizedSpectralEmbedding(
 
   LanczosOptions lanczos;
   lanczos.num_eigenpairs = options.k;
-  lanczos.which = SpectrumEnd::kLargest;
   lanczos.max_subspace = options.max_subspace;
   lanczos.seed = options.seed;
   DGC_ASSIGN_OR_RETURN(EigenResult eigen, LanczosSymmetric(s, lanczos));

@@ -1,6 +1,6 @@
 // Shared spectral-clustering machinery: normalized-adjacency embeddings of
 // symmetric similarity matrices (Shi-Malik / Ng-Jordan-Weiss style),
-// consumed by the BestWCut and Zhou directed-spectral baselines.
+// consumed by the BestWCut baseline.
 #pragma once
 
 #include <cstdint>

@@ -37,41 +37,4 @@ Scalar Modularity(const UGraph& g, const Clustering& clustering) {
   return q;
 }
 
-Scalar DirectedModularity(const Digraph& g, const Clustering& clustering) {
-  DGC_CHECK_EQ(clustering.NumVertices(), g.NumVertices());
-  Clustering compact = clustering;
-  const Index k = compact.Compact();
-  if (k == 0) return 0.0;
-  const CsrMatrix& a = g.adjacency();
-  Scalar m = 0.0;
-  for (Scalar v : a.values()) m += v;
-  if (m <= 0.0) return 0.0;
-  // Per-cluster intra weight and the product of out/in volumes.
-  std::vector<Scalar> intra(static_cast<size_t>(k), 0.0);
-  std::vector<Scalar> out_vol(static_cast<size_t>(k), 0.0);
-  std::vector<Scalar> in_vol(static_cast<size_t>(k), 0.0);
-  const std::vector<Scalar> out_w = a.RowSums();
-  const std::vector<Scalar> in_w = a.ColSums();
-  for (Index u = 0; u < g.NumVertices(); ++u) {
-    const Index cu = compact.LabelOf(u);
-    if (cu == Clustering::kUnassigned) continue;
-    out_vol[static_cast<size_t>(cu)] += out_w[static_cast<size_t>(u)];
-    in_vol[static_cast<size_t>(cu)] += in_w[static_cast<size_t>(u)];
-    auto cols = a.RowCols(u);
-    auto vals = a.RowValues(u);
-    for (size_t i = 0; i < cols.size(); ++i) {
-      if (compact.LabelOf(cols[i]) == cu) {
-        intra[static_cast<size_t>(cu)] += vals[i];
-      }
-    }
-  }
-  Scalar q = 0.0;
-  for (Index c = 0; c < k; ++c) {
-    q += intra[static_cast<size_t>(c)] / m -
-         out_vol[static_cast<size_t>(c)] * in_vol[static_cast<size_t>(c)] /
-             (m * m);
-  }
-  return q;
-}
-
 }  // namespace dgc

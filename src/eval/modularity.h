@@ -1,11 +1,9 @@
-// Modularity objectives: Newman's undirected modularity for symmetrized
-// graphs and the Leicht-Newman directed variant for the original digraph —
-// complementary quality measures to normalized cut for judging the
+// Newman's modularity for clusterings of symmetrized graphs — a
+// complementary quality measure to normalized cut for judging the
 // clusterings produced by the framework.
 #pragma once
 
 #include "graph/clustering.h"
-#include "graph/digraph.h"
 #include "graph/ugraph.h"
 
 namespace dgc {
@@ -14,9 +12,5 @@ namespace dgc {
 /// graph: Q = sum_c [ w_cc / W - (vol_c / 2W)^2 ], where W is the total
 /// edge weight. Unassigned vertices contribute nothing. Q in [-1/2, 1].
 Scalar Modularity(const UGraph& g, const Clustering& clustering);
-
-/// \brief Leicht-Newman directed modularity:
-/// Q = (1/m) sum_{ij in same cluster} [ A_ij - dout_i * din_j / m ].
-Scalar DirectedModularity(const Digraph& g, const Clustering& clustering);
 
 }  // namespace dgc

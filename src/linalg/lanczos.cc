@@ -132,16 +132,11 @@ Result<EigenResult> LanczosSymmetric(const CsrMatrix& a,
     SweepResult result = LanczosSweep(a, locked_vectors, steps, rng);
     const int m = static_cast<int>(result.ritz_values.size());
     if (m == 0) break;
-    // Candidate order from the requested end of the spectrum.
-    std::vector<int> order(static_cast<size_t>(m));
-    for (int i = 0; i < m; ++i) {
-      order[static_cast<size_t>(i)] =
-          options.which == SpectrumEnd::kLargest ? i : m - 1 - i;
-    }
     const bool last_chance = sweep == kMaxSweeps - 1;
     const Scalar accept = last_chance ? 1e30 : 1e-6;
     int taken = 0;
-    for (int idx : order) {
+    // Ritz values come largest first.
+    for (int idx = 0; idx < m; ++idx) {
       if (taken >= remaining) break;
       if (result.residuals[static_cast<size_t>(idx)] > accept) continue;
       locked_values.push_back(result.ritz_values[static_cast<size_t>(idx)]);
@@ -164,10 +159,8 @@ Result<EigenResult> LanczosSymmetric(const CsrMatrix& a,
   // distinct eigenvalue, so a degenerate partner of a locked eigenvalue may
   // have been skipped in favor of a genuinely smaller one. Sweep against
   // the locked set and swap in any strictly better eigenpair that surfaces.
-  auto better = [&](Scalar candidate, Scalar incumbent) {
-    return options.which == SpectrumEnd::kLargest
-               ? candidate > incumbent + 1e-10
-               : candidate < incumbent - 1e-10;
+  auto better = [](Scalar candidate, Scalar incumbent) {
+    return candidate > incumbent + 1e-10;
   };
   for (int round = 0; round < 5; ++round) {
     SweepResult result = LanczosSweep(a, locked_vectors, steps, rng);
@@ -175,9 +168,8 @@ Result<EigenResult> LanczosSymmetric(const CsrMatrix& a,
     if (m == 0) break;
     int candidate = -1;
     for (int i = 0; i < m; ++i) {
-      const int idx = options.which == SpectrumEnd::kLargest ? i : m - 1 - i;
-      if (result.residuals[static_cast<size_t>(idx)] < 1e-6) {
-        candidate = idx;
+      if (result.residuals[static_cast<size_t>(i)] < 1e-6) {
+        candidate = i;
         break;
       }
     }
@@ -201,16 +193,13 @@ Result<EigenResult> LanczosSymmetric(const CsrMatrix& a,
         std::move(result.ritz_vectors[static_cast<size_t>(candidate)]);
   }
 
-  // Sort the locked set by eigenvalue in the requested order.
+  // Sort the locked set by eigenvalue, largest first.
   const int found = static_cast<int>(locked_vectors.size());
   std::vector<int> order(static_cast<size_t>(found));
   for (int i = 0; i < found; ++i) order[static_cast<size_t>(i)] = i;
   std::sort(order.begin(), order.end(), [&](int x, int y) {
-    return options.which == SpectrumEnd::kLargest
-               ? locked_values[static_cast<size_t>(x)] >
-                     locked_values[static_cast<size_t>(y)]
-               : locked_values[static_cast<size_t>(x)] <
-                     locked_values[static_cast<size_t>(y)];
+    return locked_values[static_cast<size_t>(x)] >
+           locked_values[static_cast<size_t>(y)];
   });
 
   EigenResult eigen;

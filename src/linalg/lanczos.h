@@ -1,7 +1,7 @@
-// Symmetric Lanczos eigensolver: extremal eigenpairs of a sparse symmetric
-// matrix, used by the spectral clustering baselines (BestWCut, directed
-// Laplacian). Full reorthogonalization keeps it robust at the modest
-// subspace sizes we need (k <= ~100).
+// Symmetric Lanczos eigensolver: the largest eigenpairs of a sparse
+// symmetric matrix, used by the spectral clustering baseline (BestWCut).
+// Full reorthogonalization keeps it robust at the modest subspace sizes we
+// need (k <= ~100).
 #pragma once
 
 #include <vector>
@@ -12,16 +12,9 @@
 
 namespace dgc {
 
-/// Which end of the spectrum to return.
-enum class SpectrumEnd {
-  kLargest,   ///< eigenvalues of largest algebraic value
-  kSmallest,  ///< eigenvalues of smallest algebraic value
-};
-
 struct LanczosOptions {
   /// Number of eigenpairs requested.
   int num_eigenpairs = 8;
-  SpectrumEnd which = SpectrumEnd::kLargest;
   /// Krylov subspace cap; 0 picks min(n, max(4k, k + 20)).
   int max_subspace = 0;
   /// Residual tolerance ||A v - lambda v|| for convergence accounting.
@@ -31,7 +24,7 @@ struct LanczosOptions {
 };
 
 struct EigenResult {
-  /// Converged (or best-effort) eigenvalues, ordered per `which`.
+  /// Converged (or best-effort) eigenvalues, largest first.
   std::vector<Scalar> eigenvalues;
   /// n x k matrix; column j is the eigenvector for eigenvalues[j].
   DenseMatrix eigenvectors;
@@ -39,8 +32,8 @@ struct EigenResult {
   Scalar max_residual = 0.0;
 };
 
-/// \brief Computes `options.num_eigenpairs` extremal eigenpairs of the
-/// symmetric matrix `a`.
+/// \brief Computes the `options.num_eigenpairs` eigenpairs of largest
+/// algebraic value of the symmetric matrix `a`.
 ///
 /// Returns InvalidArgument for non-square input and NotConverged only if the
 /// Krylov space exhausted without producing the requested count at all;

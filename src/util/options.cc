@@ -35,18 +35,37 @@ Result<Options> Options::Parse(int argc, const char* const* argv) {
   return opts;
 }
 
+std::map<std::string, std::string>::const_iterator Options::Find(
+    const std::string& name) const {
+  read_.insert(name);
+  return flags_.find(name);
+}
+
 bool Options::Has(const std::string& name) const {
-  return flags_.count(name) > 0;
+  return Find(name) != flags_.end();
+}
+
+Status Options::CheckAllRead() const {
+  std::string unread;
+  int count = 0;
+  for (const auto& [name, value] : flags_) {
+    if (read_.count(name) > 0) continue;
+    unread += (count++ == 0 ? "--" : ", --") + name;
+  }
+  if (count == 0) return Status::OK();
+  return Status::InvalidArgument(
+      (count == 1 ? "unused flag " : "unused flags ") + unread +
+      " (misspelled, or not used with these options)");
 }
 
 std::string Options::GetString(const std::string& name,
                                const std::string& default_value) const {
-  auto it = flags_.find(name);
+  auto it = Find(name);
   return it == flags_.end() ? default_value : it->second;
 }
 
 int64_t Options::GetInt(const std::string& name, int64_t default_value) const {
-  auto it = flags_.find(name);
+  auto it = Find(name);
   if (it == flags_.end()) return default_value;
   char* end = nullptr;
   int64_t v = std::strtoll(it->second.c_str(), &end, 10);
@@ -59,7 +78,7 @@ int64_t Options::GetInt(const std::string& name, int64_t default_value) const {
 
 double Options::GetDouble(const std::string& name,
                           double default_value) const {
-  auto it = flags_.find(name);
+  auto it = Find(name);
   if (it == flags_.end()) return default_value;
   char* end = nullptr;
   double v = std::strtod(it->second.c_str(), &end);
@@ -71,7 +90,7 @@ double Options::GetDouble(const std::string& name,
 }
 
 bool Options::GetBool(const std::string& name, bool default_value) const {
-  auto it = flags_.find(name);
+  auto it = Find(name);
   if (it == flags_.end()) return default_value;
   const std::string& v = it->second;
   if (v == "true" || v == "1" || v == "yes") return true;
@@ -83,7 +102,7 @@ bool Options::GetBool(const std::string& name, bool default_value) const {
 
 std::vector<int64_t> Options::GetIntList(
     const std::string& name, const std::vector<int64_t>& default_value) const {
-  auto it = flags_.find(name);
+  auto it = Find(name);
   if (it == flags_.end()) return default_value;
   std::vector<int64_t> out;
   std::stringstream ss(it->second);
@@ -97,7 +116,7 @@ std::vector<int64_t> Options::GetIntList(
 
 std::vector<double> Options::GetDoubleList(
     const std::string& name, const std::vector<double>& default_value) const {
-  auto it = flags_.find(name);
+  auto it = Find(name);
   if (it == flags_.end()) return default_value;
   std::vector<double> out;
   std::stringstream ss(it->second);

@@ -118,7 +118,6 @@ TEST(LanczosTest, PathGraphExtremalEigenvalues) {
   // Known spectrum: 2 - 2cos(pi k / (n+1)), k = 1..n.
   LanczosOptions options;
   options.num_eigenpairs = 3;
-  options.which = SpectrumEnd::kLargest;
   auto result = LanczosSymmetric(a, options);
   ASSERT_TRUE(result.ok());
   auto lambda = [n](int k) {
@@ -127,22 +126,6 @@ TEST(LanczosTest, PathGraphExtremalEigenvalues) {
   EXPECT_NEAR(result->eigenvalues[0], lambda(n), 1e-7);
   EXPECT_NEAR(result->eigenvalues[1], lambda(n - 1), 1e-7);
   EXPECT_NEAR(result->eigenvalues[2], lambda(n - 2), 1e-7);
-}
-
-TEST(LanczosTest, SmallestEnd) {
-  const Index n = 40;
-  CsrMatrix a = PathLaplacianLike(n);
-  LanczosOptions options;
-  options.num_eigenpairs = 2;
-  options.which = SpectrumEnd::kSmallest;
-  options.max_subspace = n;  // full space for exactness
-  auto result = LanczosSymmetric(a, options);
-  ASSERT_TRUE(result.ok());
-  auto lambda = [n](int k) {
-    return 2.0 - 2.0 * std::cos(M_PI * k / (n + 1.0));
-  };
-  EXPECT_NEAR(result->eigenvalues[0], lambda(1), 1e-6);
-  EXPECT_NEAR(result->eigenvalues[1], lambda(2), 1e-6);
 }
 
 TEST(LanczosTest, ResidualsAreSmall) {

@@ -4,6 +4,7 @@
 
 #include "core/symmetrize.h"
 #include "eval/fscore.h"
+#include "eval/modularity.h"
 #include "eval/ncut.h"
 #include "eval/sign_test.h"
 #include "linalg/power_iteration.h"
@@ -252,6 +253,41 @@ TEST(Log10BinomialTailTest, HandlesHugeN) {
   const double log_p = Log10BinomialTailP(200000, 150000);
   EXPECT_LT(log_p, -10000.0);
   EXPECT_TRUE(std::isfinite(log_p));
+}
+
+UGraph Blocks(Index blocks, Index size, Scalar bridge = 0.05) {
+  std::vector<std::tuple<Index, Index, Scalar>> edges;
+  for (Index b = 0; b < blocks; ++b) {
+    const Index base = b * size;
+    for (Index i = 0; i < size; ++i) {
+      for (Index j = i + 1; j < size; ++j) {
+        edges.emplace_back(base + i, base + j, 1.0);
+      }
+    }
+    edges.emplace_back(base, ((b + 1) % blocks) * size, bridge);
+  }
+  return std::move(UGraph::FromEdges(blocks * size, edges)).ValueOrDie();
+}
+
+TEST(ModularityTest, PerfectBlocksScoreHigh) {
+  UGraph g = Blocks(4, 10);
+  Clustering truth(std::vector<Index>(40));
+  for (Index v = 0; v < 40; ++v) truth.Assign(v, v / 10);
+  const Scalar q_truth = Modularity(g, truth);
+  EXPECT_GT(q_truth, 0.6);
+  // Random assignment scores near zero.
+  Rng rng(5);
+  Clustering random(std::vector<Index>(40));
+  for (Index v = 0; v < 40; ++v) {
+    random.Assign(v, static_cast<Index>(rng.UniformU64(4)));
+  }
+  EXPECT_LT(Modularity(g, random), q_truth / 3.0);
+}
+
+TEST(ModularityTest, SingleClusterScoresZero) {
+  UGraph g = Blocks(2, 6);
+  Clustering one(std::vector<Index>(12, 0));
+  EXPECT_NEAR(Modularity(g, one), 0.0, 1e-12);
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "cluster/bestwcut.h"
-#include "cluster/directed_spectral.h"
 #include "cluster/pipeline.h"
 #include "cluster/spectral.h"
 #include "eval/fscore.h"
@@ -115,24 +114,6 @@ TEST(BestWCutTest, RejectsBadK) {
   BestWCutOptions options;
   options.k = 0;
   EXPECT_FALSE(BestWCut(g, options).ok());
-}
-
-TEST(DirectedSpectralTest, KernelIsSymmetric) {
-  Digraph g = DirectedBlocks(2, 8);
-  auto s = DirectedLaplacianKernel(g);
-  ASSERT_TRUE(s.ok());
-  EXPECT_TRUE(s->IsSymmetric(1e-9));
-}
-
-TEST(DirectedSpectralTest, RecoversDirectedBlocks) {
-  Digraph g = DirectedBlocks(3, 10);
-  DirectedSpectralOptions options;
-  options.k = 3;
-  auto c = DirectedSpectralZhou(g, options);
-  ASSERT_TRUE(c.ok());
-  auto f = EvaluateFScore(*c, BlockTruth(3, 10));
-  ASSERT_TRUE(f.ok());
-  EXPECT_GT(f->avg_f, 0.8);
 }
 
 TEST(PipelineTest, EndToEndRuns) {

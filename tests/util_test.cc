@@ -209,6 +209,29 @@ TEST(OptionsTest, DefaultsWhenAbsent) {
   EXPECT_EQ(ks.size(), 2u);
 }
 
+TEST(OptionsTest, CheckAllReadNamesFlagsNoLookupRead) {
+  const char* argv[] = {"prog", "--labels=a.txt", "--labels_b=b.txt",
+                        "--verbose", "--n=3", "input.txt"};
+  auto opts = Options::Parse(6, argv);
+  ASSERT_TRUE(opts.ok());
+  EXPECT_EQ(opts->GetString("labels", ""), "a.txt");
+  EXPECT_EQ(opts->GetString("labels-b", ""), "");
+  Status status = opts->CheckAllRead();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("unused flags --labels_b, --n, --verbose"),
+            std::string::npos)
+      << status.ToString();
+  // Has() counts as a read, whatever its answer; positionals never count.
+  EXPECT_TRUE(opts->Has("verbose"));
+  EXPECT_EQ(opts->GetInt("n", 0), 3);
+  status = opts->CheckAllRead();
+  EXPECT_NE(status.message().find("unused flag --labels_b ("),
+            std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(opts->GetString("labels_b", ""), "b.txt");
+  EXPECT_TRUE(opts->CheckAllRead().ok());
+}
+
 TEST(ThreadPoolTest, RunsAllTasks) {
   ThreadPool pool(4);
   std::atomic<int> counter{0};

@@ -5,10 +5,13 @@
 // stand-in workloads outside the benchmark binaries.
 //
 //   $ ./dgc_generate --family=citation --out=graph.txt --truth=truth.txt
-//         [--n=6000] [--seed=2] [--mixing=0.2] [--style=cocitation]
+//         [--n=6000] [--seed=2]
 //         [--max-edges=N] [--deadline-ms=N] [--max-memory-mb=N]
 //
-// Families: planted | citation | hyperlink | social | rmat | lfr
+// Families: planted | citation | hyperlink | social | rmat | lfr. Each
+// reads only its own flags (lfr: --n, --mixing, --style=cocitation,
+// --authority-overlap; rmat: --rmat-scale, --edge-factor), and a flag the
+// chosen family does not read is an error.
 //
 // --max-edges rejects a generated graph larger than the cap before any
 // file is written; --deadline-ms bounds the whole generate+write run,
@@ -16,6 +19,7 @@
 // ledger so budget-aware stages trip kResourceExhausted instead of
 // over-allocating.
 #include <cstdio>
+#include <functional>
 #include <string>
 
 #include "gen/citation.h"
@@ -32,7 +36,10 @@ namespace {
 
 using namespace dgc;
 
-Result<Dataset> Generate(const Options& opts) {
+using Generator = std::function<Result<Dataset>()>;
+
+/// Reads the chosen family's flags; the returned generator runs it.
+Result<Generator> FamilyGenerator(const Options& opts) {
   const std::string family = opts.GetString("family", "citation");
   const uint64_t seed = static_cast<uint64_t>(opts.GetInt("seed", 1));
   if (family == "planted") {
@@ -43,34 +50,34 @@ Result<Dataset> Generate(const Options& opts) {
     o.source_pool = static_cast<Index>(opts.GetInt("source-pool", 0));
     o.p_intra = opts.GetDouble("p-intra", 0.0);
     o.seed = seed;
-    return GeneratePlanted(o);
+    return Generator([o] { return GeneratePlanted(o); });
   }
   if (family == "citation") {
     CitationOptions o;
     o.num_papers = static_cast<Index>(opts.GetInt("n", 6000));
     o.seed = seed;
-    return GenerateCitation(o);
+    return Generator([o] { return GenerateCitation(o); });
   }
   if (family == "hyperlink") {
     HyperlinkOptions o;
     o.num_articles = static_cast<Index>(opts.GetInt("n", 20000));
     o.num_categories = static_cast<Index>(opts.GetInt("categories", 250));
     o.seed = seed;
-    return GenerateHyperlink(o);
+    return Generator([o] { return GenerateHyperlink(o); });
   }
   if (family == "social") {
     SocialOptions o;
     o.num_users = static_cast<Index>(opts.GetInt("n", 60000));
     o.p_reciprocal = opts.GetDouble("reciprocal", 0.55);
     o.seed = seed;
-    return GenerateSocial(o);
+    return Generator([o] { return GenerateSocial(o); });
   }
   if (family == "rmat") {
     RmatOptions o;
     o.scale = static_cast<int>(opts.GetInt("rmat-scale", 14));
     o.edge_factor = opts.GetDouble("edge-factor", 8.0);
     o.seed = seed;
-    return GenerateRmat(o);
+    return Generator([o] { return GenerateRmat(o); });
   }
   if (family == "lfr") {
     LfrOptions o;
@@ -81,7 +88,7 @@ Result<Dataset> Generate(const Options& opts) {
                   : LfrCommunityStyle::kDense;
     o.authority_overlap = opts.GetDouble("authority-overlap", 0.0);
     o.seed = seed;
-    return GenerateLfr(o);
+    return Generator([o] { return GenerateLfr(o); });
   }
   return Status::InvalidArgument("unknown --family=" + family);
 }
@@ -100,13 +107,25 @@ int main(int argc, char** argv) {
   budget.deadline_ms = opts->GetInt("deadline-ms", 0);
   budget.max_memory_bytes =
       opts->GetInt("max-memory-mb", 0) * (int64_t{1} << 20);
+  const int64_t max_edges = opts->GetInt("max-edges", 0);
+  const std::string out = opts->GetString("out", "");
+  const std::string truth = opts->GetString("truth", "");
+  auto generate = FamilyGenerator(*opts);
+  if (!generate.ok()) {
+    std::fprintf(stderr, "%s\n", generate.status().ToString().c_str());
+    return 1;
+  }
+  const Status flags = opts->CheckAllRead();
+  if (!flags.ok()) {
+    std::fprintf(stderr, "%s\n", flags.ToString().c_str());
+    return 1;
+  }
   cancel.Arm(budget);
-  auto dataset = Generate(*opts);
+  auto dataset = (*generate)();
   if (!dataset.ok()) {
     std::fprintf(stderr, "%s\n", dataset.status().ToString().c_str());
     return 1;
   }
-  const int64_t max_edges = opts->GetInt("max-edges", 0);
   if (max_edges > 0 && dataset->graph.NumEdges() > max_edges) {
     std::fprintf(stderr,
                  "generated graph has %lld edges, over --max-edges=%lld\n",
@@ -123,7 +142,6 @@ int main(int argc, char** argv) {
               static_cast<long long>(dataset->graph.NumEdges()),
               dataset->truth.NumCategories(),
               100.0 * dataset->graph.FractionSymmetricEdges());
-  const std::string out = opts->GetString("out", "");
   if (!out.empty()) {
     auto status = WriteEdgeList(dataset->graph, out);
     if (!status.ok()) {
@@ -132,7 +150,6 @@ int main(int argc, char** argv) {
     }
     std::printf("wrote edges to %s\n", out.c_str());
   }
-  const std::string truth = opts->GetString("truth", "");
   if (!truth.empty() && cancel.Expired()) {
     std::fprintf(stderr, "%s\n", cancel.status().ToString().c_str());
     return 1;

@@ -5,9 +5,8 @@
 // (Section 5.6).
 //
 //   $ ./dgc_score --labels=c.txt --truth=truth.txt --n=6000
-//         [--graph=graph.txt] [--labels-b=other.txt]
+//         [--graph=graph.txt [--spill-dir=DIR]] [--labels-b=other.txt]
 //         [--max-edges=N] [--deadline-ms=N] [--max-memory-mb=N]
-//         [--spill-dir=DIR]
 //
 // --max-edges bounds the --graph edge-list scan; --deadline-ms is checked
 // at stage granularity (between metric computations) and inside the
@@ -26,6 +25,16 @@
 #include "linalg/power_iteration.h"
 #include "util/budget.h"
 #include "util/options.h"
+
+namespace {
+
+/// Reports a failed call's status on stderr; returns the tool's exit code.
+int Fail(const dgc::Status& status) {
+  std::fprintf(stderr, "%s\n", status.ToString().c_str());
+  return 1;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace dgc;
@@ -52,29 +61,27 @@ int main(int argc, char** argv) {
   budget.deadline_ms = opts->GetInt("deadline-ms", 0);
   budget.max_memory_bytes =
       opts->GetInt("max-memory-mb", 0) * (int64_t{1} << 20);
+  // --n defaults to the size of the --labels clustering.
+  const bool has_n = opts->Has("n");
+  const int64_t n_flag = opts->GetInt("n", 0);
+  const std::string graph_path = opts->GetString("graph", "");
+  const std::string spill_dir =
+      graph_path.empty() ? "" : opts->GetString("spill-dir", "");
+  const std::string labels_b = opts->GetString("labels-b", "");
+  const Status flags = opts->CheckAllRead();
+  if (!flags.ok()) return Fail(flags);
+
   cancel.Arm(budget);
   auto clustering = ReadClustering(labels_path, limits);
-  if (!clustering.ok()) {
-    std::fprintf(stderr, "%s\n", clustering.status().ToString().c_str());
-    return 1;
-  }
-  const Index n = static_cast<Index>(
-      opts->GetInt("n", clustering->NumVertices()));
+  if (!clustering.ok()) return Fail(clustering.status());
+  const Index n =
+      static_cast<Index>(has_n ? n_flag : clustering->NumVertices());
   auto truth = ReadGroundTruth(truth_path, n, limits);
-  if (!truth.ok()) {
-    std::fprintf(stderr, "%s\n", truth.status().ToString().c_str());
-    return 1;
-  }
-  if (cancel.Expired()) {
-    std::fprintf(stderr, "%s\n", cancel.status().ToString().c_str());
-    return 1;
-  }
+  if (!truth.ok()) return Fail(truth.status());
+  if (cancel.Expired()) return Fail(cancel.status());
 
   auto f = EvaluateFScore(*clustering, *truth);
-  if (!f.ok()) {
-    std::fprintf(stderr, "%s\n", f.status().ToString().c_str());
-    return 1;
-  }
+  if (!f.ok()) return Fail(f.status());
   std::printf("clusters:   %d\n", clustering->NumClusters());
   std::printf("avg F:      %.4f\n", f->avg_f);
   std::printf("precision:  %.4f\n", f->avg_precision);
@@ -84,58 +91,45 @@ int main(int argc, char** argv) {
   auto truth_clustering = TruthToClustering(*truth, n);
   if (truth_clustering.ok()) {
     auto cmp = ComparePartitions(*clustering, *truth_clustering);
-    if (cmp.ok()) {
-      std::printf("NMI:        %.4f\n", cmp->nmi);
-      std::printf("ARI:        %.4f\n", cmp->ari);
-    }
+    if (!cmp.ok()) return Fail(cmp.status());
+    std::printf("NMI:        %.4f\n", cmp->nmi);
+    std::printf("ARI:        %.4f\n", cmp->ari);
   } else {
     std::printf("NMI/ARI:    skipped (%s)\n",
                 truth_clustering.status().message().c_str());
   }
 
-  const std::string graph_path = opts->GetString("graph", "");
   if (!graph_path.empty()) {
     auto graph = ReadEdgeList(graph_path, n, limits);
-    if (!graph.ok()) {
-      std::fprintf(stderr, "%s\n", graph.status().ToString().c_str());
-      return 1;
-    }
-    if (cancel.Expired()) {
-      std::fprintf(stderr, "%s\n", cancel.status().ToString().c_str());
-      return 1;
-    }
+    if (!graph.ok()) return Fail(graph.status());
+    if (cancel.Expired()) return Fail(cancel.status());
     SymmetrizationOptions ncut_sym;
     ncut_sym.cancel = &cancel;
     ncut_sym.max_memory_bytes = budget.max_memory_bytes;
-    ncut_sym.spill_dir = opts->GetString("spill-dir", "");
+    ncut_sym.spill_dir = spill_dir;
     auto u = Symmetrize(*graph, SymmetrizationMethod::kAPlusAT, ncut_sym);
+    if (!u.ok()) return Fail(u.status());
     auto pr = PageRank(graph->adjacency());
-    if (u.ok() && pr.ok()) {
-      std::printf("ncut(A+A'): %.4f\n", NormalizedCut(*u, *clustering));
-      std::printf("ncut_dir:   %.4f\n",
-                  DirectedNormalizedCut(*graph, pr->pi, *clustering));
-    }
+    if (!pr.ok()) return Fail(pr.status());
+    std::printf("ncut(A+A'): %.4f\n", NormalizedCut(*u, *clustering));
+    std::printf("ncut_dir:   %.4f\n",
+                DirectedNormalizedCut(*graph, pr->pi, *clustering));
   }
 
-  const std::string labels_b = opts->GetString("labels-b", "");
   if (!labels_b.empty()) {
-    auto other = ReadClustering(labels_b);
-    if (!other.ok()) {
-      std::fprintf(stderr, "%s\n", other.status().ToString().c_str());
-      return 1;
-    }
+    auto other = ReadClustering(labels_b, limits);
+    if (!other.ok()) return Fail(other.status());
     auto mask_a = CorrectlyClusteredMask(*clustering, *truth);
+    if (!mask_a.ok()) return Fail(mask_a.status());
     auto mask_b = CorrectlyClusteredMask(*other, *truth);
-    if (mask_a.ok() && mask_b.ok()) {
-      auto sign = PairedSignTest(*mask_a, *mask_b);
-      if (sign.ok()) {
-        std::printf(
-            "sign test (A = --labels, B = --labels-b): A-only %lld, "
-            "B-only %lld, log10(p) = %.2f\n",
-            static_cast<long long>(sign->a_only),
-            static_cast<long long>(sign->b_only), sign->log10_p_value);
-      }
-    }
+    if (!mask_b.ok()) return Fail(mask_b.status());
+    auto sign = PairedSignTest(*mask_a, *mask_b);
+    if (!sign.ok()) return Fail(sign.status());
+    std::printf(
+        "sign test (A = --labels, B = --labels-b): A-only %lld, "
+        "B-only %lld, log10(p) = %.2f\n",
+        static_cast<long long>(sign->a_only),
+        static_cast<long long>(sign->b_only), sign->log10_p_value);
   }
   return 0;
 }

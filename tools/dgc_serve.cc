@@ -57,6 +57,11 @@ int main(int argc, char** argv) {
   }
   options.bind_address = opts->GetString("bind", "127.0.0.1");
   options.port = static_cast<int>(opts->GetInt("port", 0));
+  const Status flags = opts->CheckAllRead();
+  if (!flags.ok()) {
+    std::fprintf(stderr, "%s\n", flags.ToString().c_str());
+    return 1;
+  }
 
   Server server(std::move(options));
   if (stdio) {

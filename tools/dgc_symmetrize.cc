@@ -4,10 +4,15 @@
 // edge list and/or METIS file for consumption by any external clusterer.
 //
 //   $ ./dgc_symmetrize --input=graph.txt --method=dd --target-degree=100
-//         --out=sym.txt [--metis-out=sym.graph] [--threshold=0.01]
+//         --out=sym.txt [--metis-out=sym.graph [--metis-scale=1000]]
 //         [--alpha=0.5] [--beta=0.5] [--report-top=10]
 //         [--max-edges=N] [--deadline-ms=N] [--max-memory-mb=N]
 //         [--spill-dir=DIR]
+//
+// --threshold=auto (the default for dd and bibliometric) samples a prune
+// threshold for --target-degree; --threshold=0.01 fixes it instead, and
+// then --target-degree is an unused flag, which is an error like any
+// misspelled one.
 //
 // --max-memory-mb arms a soft memory budget for the symmetrization: the
 // fused similarity kernels degrade to out-of-core row tiles (spilling to
@@ -67,11 +72,6 @@ int main(int argc, char** argv) {
   IoLimits limits;
   const int64_t max_edges = opts->GetInt("max-edges", 0);
   if (max_edges > 0) limits.max_edges = max_edges;
-  auto graph = ReadEdgeList(input, /*num_vertices=*/0, limits);
-  if (!graph.ok()) {
-    std::fprintf(stderr, "%s\n", graph.status().ToString().c_str());
-    return 1;
-  }
   auto method = ParseSymmetrizationMethod(opts->GetString("method", "dd"));
   if (!method.ok()) {
     std::fprintf(stderr, "%s\n", method.status().ToString().c_str());
@@ -92,30 +92,47 @@ int main(int argc, char** argv) {
       opts->GetInt("max-memory-mb", 0) * (int64_t{1} << 20);
   sym.max_memory_bytes = budget.max_memory_bytes;
   sym.spill_dir = opts->GetString("spill-dir", "");
-  if (!budget.unlimited()) {
-    cancel.Arm(budget);
-    sym.cancel = &cancel;
-  }
 
   const std::string threshold = opts->GetString("threshold", "auto");
   const bool prunable = *method == SymmetrizationMethod::kBibliometric ||
                         *method == SymmetrizationMethod::kDegreeDiscounted;
-  if (prunable) {
-    if (threshold == "auto") {
-      ThresholdSelectOptions select;
-      select.target_avg_degree =
-          static_cast<Index>(opts->GetInt("target-degree", 100));
-      auto selection = SelectPruneThreshold(*graph, *method, sym, select);
-      if (!selection.ok()) {
-        std::fprintf(stderr, "%s\n", selection.status().ToString().c_str());
-        return 1;
-      }
-      sym.prune_threshold = selection->threshold;
-      std::printf("auto threshold: %.6f (sampled avg degree %.1f)\n",
-                  selection->threshold, selection->sampled_avg_degree);
-    } else {
-      sym.prune_threshold = opts->GetDouble("threshold", 0.0);
+  const bool auto_threshold = prunable && threshold == "auto";
+  ThresholdSelectOptions select;
+  if (auto_threshold) {
+    select.target_avg_degree =
+        static_cast<Index>(opts->GetInt("target-degree", 100));
+  } else if (prunable) {
+    sym.prune_threshold = opts->GetDouble("threshold", 0.0);
+  }
+  const Index report_top = static_cast<Index>(opts->GetInt("report-top", 0));
+  const std::string out = opts->GetString("out", "");
+  const std::string metis_out = opts->GetString("metis-out", "");
+  const double metis_scale =
+      metis_out.empty() ? 0.0 : opts->GetDouble("metis-scale", 1000.0);
+  const Status flags = opts->CheckAllRead();
+  if (!flags.ok()) {
+    std::fprintf(stderr, "%s\n", flags.ToString().c_str());
+    return 1;
+  }
+
+  auto graph = ReadEdgeList(input, /*num_vertices=*/0, limits);
+  if (!graph.ok()) {
+    std::fprintf(stderr, "%s\n", graph.status().ToString().c_str());
+    return 1;
+  }
+  if (!budget.unlimited()) {
+    cancel.Arm(budget);
+    sym.cancel = &cancel;
+  }
+  if (auto_threshold) {
+    auto selection = SelectPruneThreshold(*graph, *method, sym, select);
+    if (!selection.ok()) {
+      std::fprintf(stderr, "%s\n", selection.status().ToString().c_str());
+      return 1;
     }
+    sym.prune_threshold = selection->threshold;
+    std::printf("auto threshold: %.6f (sampled avg degree %.1f)\n",
+                selection->threshold, selection->sampled_avg_degree);
   }
 
   WallTimer timer;
@@ -133,7 +150,6 @@ int main(int argc, char** argv) {
       histogram.mean_degree, static_cast<long long>(histogram.max_degree),
       static_cast<long long>(histogram.zero_count));
 
-  const Index report_top = static_cast<Index>(opts->GetInt("report-top", 0));
   if (report_top > 0) {
     std::printf("top-%d edges by weight:\n", report_top);
     for (const WeightedEdge& e : TopWeightedEdgesNormalized(*u, report_top)) {
@@ -141,7 +157,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::string out = opts->GetString("out", "");
   if (!out.empty()) {
     auto status = WriteUndirectedEdgeList(*u, out);
     if (!status.ok()) {
@@ -150,10 +165,8 @@ int main(int argc, char** argv) {
     }
     std::printf("wrote undirected edge list to %s\n", out.c_str());
   }
-  const std::string metis_out = opts->GetString("metis-out", "");
   if (!metis_out.empty()) {
-    auto status = WriteMetisGraph(*u, metis_out,
-                                  opts->GetDouble("metis-scale", 1000.0));
+    auto status = WriteMetisGraph(*u, metis_out, metis_scale);
     if (!status.ok()) {
       std::fprintf(stderr, "%s\n", status.ToString().c_str());
       return 1;

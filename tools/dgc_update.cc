@@ -82,22 +82,11 @@ int main(int argc, char** argv) {
   IoLimits limits;
   const int64_t max_edges = opts->GetInt("max-edges", 0);
   if (max_edges > 0) limits.max_edges = max_edges;
-  auto graph = ReadEdgeList(graph_path, /*num_vertices=*/0, limits);
-  if (!graph.ok()) {
-    std::fprintf(stderr, "%s\n", graph.status().ToString().c_str());
-    return 1;
-  }
   auto method = ParseSymmetrizationMethod(opts->GetString("method", "dd"));
   if (!method.ok()) {
     std::fprintf(stderr, "%s\n", method.status().ToString().c_str());
     return 2;
   }
-  auto batches = ReadDeltaBatches(delta_path, graph->NumVertices(), limits);
-  if (!batches.ok()) {
-    std::fprintf(stderr, "%s\n", batches.status().ToString().c_str());
-    return 1;
-  }
-
   SymmetrizationOptions sym;
   sym.out_discount = DiscountSpec::Power(opts->GetDouble("alpha", 0.5));
   sym.in_discount = DiscountSpec::Power(opts->GetDouble("beta", 0.5));
@@ -105,6 +94,23 @@ int main(int argc, char** argv) {
   sym.add_self_loops = opts->GetBool("self-loops", false);
   sym.num_threads = static_cast<int>(opts->GetInt("threads", 1));
   const bool verify = opts->GetBool("verify", false);
+  const std::string out = opts->GetString("out", "");
+  const Status flags = opts->CheckAllRead();
+  if (!flags.ok()) {
+    std::fprintf(stderr, "%s\n", flags.ToString().c_str());
+    return 1;
+  }
+
+  auto graph = ReadEdgeList(graph_path, /*num_vertices=*/0, limits);
+  if (!graph.ok()) {
+    std::fprintf(stderr, "%s\n", graph.status().ToString().c_str());
+    return 1;
+  }
+  auto batches = ReadDeltaBatches(delta_path, graph->NumVertices(), limits);
+  if (!batches.ok()) {
+    std::fprintf(stderr, "%s\n", batches.status().ToString().c_str());
+    return 1;
+  }
 
   WallTimer timer;
   auto inc = IncrementalSymmetrizer::Create(*graph, *method, sym);
@@ -166,7 +172,6 @@ int main(int argc, char** argv) {
               batches->size(), timer.ElapsedSeconds(),
               static_cast<long long>(total_recomputed));
 
-  const std::string out = opts->GetString("out", "");
   if (!out.empty()) {
     auto status = WriteUndirectedEdgeList(inc->symmetrized(), out);
     if (!status.ok()) {
