@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the computational kernels the
 // symmetrization framework is built on: sparse transpose, SpGEMM with and
-// without pruning, PageRank power iteration, the four symmetrizations, and
-// the similarity symmetrizations on the paper's four stand-in datasets.
+// without pruning, PageRank power iteration, the four symmetrizations, the
+// similarity symmetrizations on the paper's four stand-in datasets, and
+// the edge-list reader and METIS writer.
 // Complements the per-table experiment binaries.
 //
 // Flags (consumed before google-benchmark sees the command line):
@@ -22,10 +23,13 @@
 //                   dgc.roofline.v2 JSON document to <path> and exit.
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <array>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <memory>
@@ -38,6 +42,7 @@
 #include "core/all_pairs.h"
 #include "core/symmetrize.h"
 #include "gen/rmat.h"
+#include "graph/io.h"
 #include "util/logging.h"
 #include "linalg/power_iteration.h"
 #include "linalg/spgemm.h"
@@ -400,6 +405,52 @@ BENCHMARK(BM_AllPairsSimilarityThreads)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+// Text I/O on the social stand-in (LiveJournal settings, as perfbench's
+// `similarity` input): the layer under perfbench's graph.read_s and
+// graph.write_s. The read bench parses the stand-in's edge list; the write
+// bench writes its Degree-discounted graph as METIS, weights scaled by the
+// inverse prune threshold as perfbench does.
+
+std::string BenchFile(const char* name) {
+  return (std::filesystem::temp_directory_path() /
+          (std::string("dgc_bench_") + std::to_string(::getpid()) + "_" +
+           name))
+      .string();
+}
+
+void BM_ReadEdgeList(benchmark::State& state) {
+  const Dataset& d = StandIn(3);
+  const std::string path = BenchFile("edges.txt");
+  DGC_CHECK(WriteEdgeList(d.graph, path).ok());
+  for (auto _ : state) {
+    auto g = ReadEdgeList(path);
+    DGC_CHECK(g.ok());
+    benchmark::DoNotOptimize(g);
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          std::filesystem::file_size(path));
+  std::filesystem::remove(path);
+  state.SetLabel(d.name);
+}
+BENCHMARK(BM_ReadEdgeList)->Unit(benchmark::kMillisecond);
+
+void BM_WriteMetisGraph(benchmark::State& state) {
+  const Dataset& d = StandIn(3);
+  SymmetrizationOptions options;
+  options.prune_threshold = 0.05;
+  auto u = SymmetrizeDegreeDiscounted(d.graph, options);
+  DGC_CHECK(u.ok());
+  const std::string path = BenchFile("graph.metis");
+  for (auto _ : state) {
+    DGC_CHECK(WriteMetisGraph(*u, path, 1.0 / options.prune_threshold).ok());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          std::filesystem::file_size(path));
+  std::filesystem::remove(path);
+  state.SetLabel(d.name);
+}
+BENCHMARK(BM_WriteMetisGraph)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -28,6 +28,11 @@ int main(int argc, char** argv) {
   gen_options.num_papers =
       static_cast<Index>(opts->GetInt("papers", 6000));
   const Index k = static_cast<Index>(opts->GetInt("clusters", 70));
+  const Status flags = opts->CheckAllRead();
+  if (!flags.ok()) {
+    std::fprintf(stderr, "%s\n", flags.ToString().c_str());
+    return 2;
+  }
 
   auto dataset = GenerateCitation(gen_options);
   if (!dataset.ok()) {

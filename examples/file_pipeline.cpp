@@ -54,16 +54,6 @@ int main(int argc, char** argv) {
   IoLimits limits;
   const int64_t max_edges = opts->GetInt("max-edges", 0);
   if (max_edges > 0) limits.max_edges = max_edges;
-  auto graph = ReadEdgeList(input, /*num_vertices=*/0, limits);
-  if (!graph.ok()) {
-    std::fprintf(stderr, "reading %s: %s\n", input.c_str(),
-                 graph.status().ToString().c_str());
-    return 1;
-  }
-  std::printf("read %s: %d vertices, %lld edges, %.1f%% symmetric\n",
-              input.c_str(), graph->NumVertices(),
-              static_cast<long long>(graph->NumEdges()),
-              100.0 * graph->FractionSymmetricEdges());
 
   auto method = ParseSymmetrizationMethod(opts->GetString("method", "dd"));
   if (!method.ok()) {
@@ -89,26 +79,17 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  // Only the similarity methods have a threshold to select.
   const std::string threshold = opts->GetString("threshold", "auto");
-  if (threshold == "auto") {
-    if (*method == SymmetrizationMethod::kBibliometric ||
-        *method == SymmetrizationMethod::kDegreeDiscounted) {
-      ThresholdSelectOptions select;
-      select.target_avg_degree =
-          static_cast<Index>(opts->GetInt("target-degree", 100));
-      auto selection = SelectPruneThreshold(*graph, *method,
-                                            pipeline.symmetrization, select);
-      if (!selection.ok()) {
-        std::fprintf(stderr, "threshold selection: %s\n",
-                     selection.status().ToString().c_str());
-        return 1;
-      }
-      pipeline.symmetrization.prune_threshold = selection->threshold;
-      std::printf("auto-selected prune threshold: %.6f (sampled avg degree "
-                  "%.1f)\n",
-                  selection->threshold, selection->sampled_avg_degree);
-    }
-  } else {
+  const bool auto_threshold =
+      threshold == "auto" &&
+      (*method == SymmetrizationMethod::kBibliometric ||
+       *method == SymmetrizationMethod::kDegreeDiscounted);
+  ThresholdSelectOptions select;
+  if (auto_threshold) {
+    select.target_avg_degree =
+        static_cast<Index>(opts->GetInt("target-degree", 100));
+  } else if (threshold != "auto") {
     pipeline.symmetrization.prune_threshold =
         opts->GetDouble("threshold", 0.0);
   }
@@ -123,6 +104,42 @@ int main(int argc, char** argv) {
   const std::string report_path = opts->GetString("report", "");
   MetricsRegistry registry;
   if (!report_path.empty()) pipeline.metrics = &registry;
+  const std::string metis_out = opts->GetString("metis-out", "");
+  const double metis_scale =
+      metis_out.empty() ? 1000.0 : opts->GetDouble("metis-scale", 1000.0);
+  const std::string output = opts->GetString("output", "");
+  // Every flag is read by now: a misspelled one (--outptu=) fails here,
+  // before the input is read, instead of silently dropping its step.
+  const Status flags = opts->CheckAllRead();
+  if (!flags.ok()) {
+    std::fprintf(stderr, "%s\n", flags.ToString().c_str());
+    return 2;
+  }
+
+  auto graph = ReadEdgeList(input, /*num_vertices=*/0, limits);
+  if (!graph.ok()) {
+    std::fprintf(stderr, "reading %s: %s\n", input.c_str(),
+                 graph.status().ToString().c_str());
+    return 1;
+  }
+  std::printf("read %s: %d vertices, %lld edges, %.1f%% symmetric\n",
+              input.c_str(), graph->NumVertices(),
+              static_cast<long long>(graph->NumEdges()),
+              100.0 * graph->FractionSymmetricEdges());
+
+  if (auto_threshold) {
+    auto selection = SelectPruneThreshold(*graph, *method,
+                                          pipeline.symmetrization, select);
+    if (!selection.ok()) {
+      std::fprintf(stderr, "threshold selection: %s\n",
+                   selection.status().ToString().c_str());
+      return 1;
+    }
+    pipeline.symmetrization.prune_threshold = selection->threshold;
+    std::printf("auto-selected prune threshold: %.6f (sampled avg degree "
+                "%.1f)\n",
+                selection->threshold, selection->sampled_avg_degree);
+  }
 
   WallTimer timer;
   auto result = SymmetrizeAndCluster(*graph, pipeline);
@@ -151,17 +168,15 @@ int main(int argc, char** argv) {
       result->cluster_seconds, result->num_clusters,
       timer.ElapsedSeconds());
 
-  const std::string metis_out = opts->GetString("metis-out", "");
   if (!metis_out.empty()) {
-    auto status = WriteMetisGraph(result->symmetrized, metis_out,
-                                  opts->GetDouble("metis-scale", 1000.0));
+    auto status =
+        WriteMetisGraph(result->symmetrized, metis_out, metis_scale);
     if (!status.ok()) {
       std::fprintf(stderr, "%s\n", status.ToString().c_str());
       return 1;
     }
     std::printf("wrote symmetrized graph to %s\n", metis_out.c_str());
   }
-  const std::string output = opts->GetString("output", "");
   if (!output.empty()) {
     auto status = WriteClustering(result->clustering, output);
     if (!status.ok()) {

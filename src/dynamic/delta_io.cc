@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <fstream>
 #include <string_view>
 #include <utility>
 
@@ -15,10 +14,10 @@ namespace {
 using text_scan::IsCommentOrBlank;
 using text_scan::kIndexCap;
 using text_scan::LineRead;
+using text_scan::LineReader;
 using text_scan::LineTooLong;
 using text_scan::ParseDouble;
 using text_scan::ParseInt64;
-using text_scan::ReadLineBounded;
 using text_scan::TokenCursor;
 using text_scan::TokenPreview;
 using text_scan::Where;
@@ -58,8 +57,8 @@ Status ParseVertex(const std::string& path, int64_t line_no, int64_t col,
 Result<std::vector<EdgeDeltaBatch>> ReadDeltaBatches(const std::string& path,
                                                      Index num_vertices,
                                                      const IoLimits& limits) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open " + path);
+  LineReader in(path, limits.max_line_bytes);
+  if (!in.is_open()) return Status::IOError("cannot open " + path);
   if (num_vertices <= 0) {
     return Status::InvalidArgument(
         path + ": delta streams require a declared num_vertices > 0");
@@ -71,10 +70,10 @@ Result<std::vector<EdgeDeltaBatch>> ReadDeltaBatches(const std::string& path,
   std::vector<EdgeDeltaBatch> batches;
   EdgeDeltaBatch current;
   int64_t total_ops = 0;
-  std::string line;
+  std::string_view line;
   int64_t line_no = 0;
   for (;;) {
-    const LineRead read = ReadLineBounded(in, limits.max_line_bytes, &line);
+    const LineRead read = in.Next(&line);
     if (read == LineRead::kEof) break;
     ++line_no;
     if (read == LineRead::kTooLong) return LineTooLong(path, line_no, limits);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <fstream>
 #include <string_view>
 #include <tuple>
 #include <vector>
@@ -17,10 +16,11 @@ namespace {
 using text_scan::IsCommentOrBlank;
 using text_scan::kIndexCap;
 using text_scan::LineRead;
+using text_scan::LineReader;
 using text_scan::LineTooLong;
 using text_scan::ParseDouble;
 using text_scan::ParseInt64;
-using text_scan::ReadLineBounded;
+using text_scan::TextWriter;
 using text_scan::TokenCursor;
 using text_scan::TokenPreview;
 using text_scan::Where;
@@ -41,8 +41,8 @@ Status ParseWeight(const std::string& path, int64_t line_no, int64_t col,
 
 Result<Digraph> ReadEdgeList(const std::string& path, Index num_vertices,
                              const IoLimits& limits) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open " + path);
+  LineReader in(path, limits.max_line_bytes);
+  if (!in.is_open()) return Status::IOError("cannot open " + path);
   const int64_t vertex_cap = std::min(limits.max_vertices, kIndexCap);
   if (num_vertices > 0 && static_cast<int64_t>(num_vertices) > vertex_cap) {
     return Status::OutOfRange(
@@ -56,16 +56,16 @@ Result<Digraph> ReadEdgeList(const std::string& path, Index num_vertices,
 
   std::vector<Edge> edges;
   Index max_id = -1;
-  std::string line;
+  std::string_view line;
   int64_t line_no = 0;
   for (;;) {
-    const LineRead read = ReadLineBounded(in, limits.max_line_bytes, &line);
+    const LineRead read = in.Next(&line);
     if (read == LineRead::kEof) break;
     ++line_no;
     if (read == LineRead::kTooLong) return LineTooLong(path, line_no, limits);
     if (IsCommentOrBlank(line)) continue;
 
-    TokenCursor cursor{std::string_view(line)};
+    TokenCursor cursor(line);
     std::string_view token;
     int64_t col = 0;
     int64_t ids[2] = {0, 0};
@@ -124,8 +124,10 @@ Result<Digraph> ReadEdgeList(const std::string& path, Index num_vertices,
 }
 
 Status WriteEdgeList(const Digraph& g, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return Status::IOError("cannot open " + path + " for writing");
+  TextWriter out(path);
+  if (!out.is_open()) {
+    return Status::IOError("cannot open " + path + " for writing");
+  }
   out << "# directed edge list: src dst weight\n";
   out << "# vertices=" << g.NumVertices() << " edges=" << g.NumEdges()
       << "\n";
@@ -137,15 +139,14 @@ Status WriteEdgeList(const Digraph& g, const std::string& path) {
       out << u << ' ' << cols[i] << ' ' << vals[i] << '\n';
     }
   }
-  if (!out) return Status::IOError("write failed for " + path);
-  return Status::OK();
+  return out.Close();
 }
 
 Result<UGraph> ReadMetisGraph(const std::string& path,
                               const IoLimits& limits) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open " + path);
-  std::string line;
+  LineReader in(path, limits.max_line_bytes);
+  if (!in.is_open()) return Status::IOError("cannot open " + path);
+  std::string_view line;
   int64_t line_no = 0;
 
   // --- Header: "n m [fmt]" on the first non-comment, non-blank line. ---
@@ -154,7 +155,7 @@ Result<UGraph> ReadMetisGraph(const std::string& path,
   bool has_edge_weights = false;
   bool saw_header = false;
   while (!saw_header) {
-    const LineRead read = ReadLineBounded(in, limits.max_line_bytes, &line);
+    const LineRead read = in.Next(&line);
     if (read == LineRead::kEof) {
       return Status::IOError(path + ": missing METIS header 'n m [fmt]'");
     }
@@ -163,7 +164,7 @@ Result<UGraph> ReadMetisGraph(const std::string& path,
     if (IsCommentOrBlank(line)) continue;
     saw_header = true;
 
-    TokenCursor cursor{std::string_view(line)};
+    TokenCursor cursor(line);
     std::string_view token;
     int64_t col = 0;
     if (!cursor.Next(&token, &col)) {
@@ -234,7 +235,7 @@ Result<UGraph> ReadMetisGraph(const std::string& path,
   int64_t total_entries = 0;
   int64_t u = 0;
   while (u < n) {
-    const LineRead read = ReadLineBounded(in, limits.max_line_bytes, &line);
+    const LineRead read = in.Next(&line);
     if (read == LineRead::kEof) break;
     ++line_no;
     if (read == LineRead::kTooLong) return LineTooLong(path, line_no, limits);
@@ -242,7 +243,7 @@ Result<UGraph> ReadMetisGraph(const std::string& path,
     // adjacency lines (a vertex with no neighbors).
     if (!line.empty() && (line[0] == '%' || line[0] == '#')) continue;
 
-    TokenCursor cursor{std::string_view(line)};
+    TokenCursor cursor(line);
     std::string_view token;
     int64_t col = 0;
     while (cursor.Next(&token, &col)) {
@@ -302,7 +303,7 @@ Result<UGraph> ReadMetisGraph(const std::string& path,
   }
   // Anything after the body other than comments/blank lines is an error.
   for (;;) {
-    const LineRead read = ReadLineBounded(in, limits.max_line_bytes, &line);
+    const LineRead read = in.Next(&line);
     if (read == LineRead::kEof) break;
     ++line_no;
     if (read == LineRead::kTooLong) return LineTooLong(path, line_no, limits);
@@ -316,8 +317,10 @@ Result<UGraph> ReadMetisGraph(const std::string& path,
 
 Status WriteMetisGraph(const UGraph& g, const std::string& path,
                        double weight_scale) {
-  std::ofstream out(path);
-  if (!out) return Status::IOError("cannot open " + path + " for writing");
+  TextWriter out(path);
+  if (!out.is_open()) {
+    return Status::IOError("cannot open " + path + " for writing");
+  }
   out << g.NumVertices() << ' ' << g.NumEdges() << " 001\n";
   const CsrMatrix& a = g.adjacency();
   for (Index u = 0; u < g.NumVertices(); ++u) {
@@ -340,27 +343,26 @@ Status WriteMetisGraph(const UGraph& g, const std::string& path,
     }
     if (cols.empty()) out << '\n';
   }
-  if (!out) return Status::IOError("write failed for " + path);
-  return Status::OK();
+  return out.Close();
 }
 
 Result<GroundTruth> ReadGroundTruth(const std::string& path,
                                     Index num_vertices,
                                     const IoLimits& limits) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open " + path);
+  LineReader in(path, limits.max_line_bytes);
+  if (!in.is_open()) return Status::IOError("cannot open " + path);
   const int64_t category_cap = std::min(limits.max_categories, kIndexCap);
   GroundTruth truth;
-  std::string line;
+  std::string_view line;
   int64_t line_no = 0;
   for (;;) {
-    const LineRead read = ReadLineBounded(in, limits.max_line_bytes, &line);
+    const LineRead read = in.Next(&line);
     if (read == LineRead::kEof) break;
     ++line_no;
     if (read == LineRead::kTooLong) return LineTooLong(path, line_no, limits);
     if (IsCommentOrBlank(line)) continue;
 
-    TokenCursor cursor{std::string_view(line)};
+    TokenCursor cursor(line);
     std::string_view token;
     int64_t col = 0;
     if (!cursor.Next(&token, &col)) {
@@ -414,8 +416,10 @@ Result<GroundTruth> ReadGroundTruth(const std::string& path,
 }
 
 Status WriteGroundTruth(const GroundTruth& truth, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return Status::IOError("cannot open " + path + " for writing");
+  TextWriter out(path);
+  if (!out.is_open()) {
+    return Status::IOError("cannot open " + path + " for writing");
+  }
   // Invert to vertex -> category lists for the line format.
   Index max_vertex = -1;
   for (const auto& members : truth.categories) {
@@ -434,25 +438,24 @@ Status WriteGroundTruth(const GroundTruth& truth, const std::string& path) {
     for (Index c : per_vertex[v]) out << ' ' << c;
     out << '\n';
   }
-  if (!out) return Status::IOError("write failed for " + path);
-  return Status::OK();
+  return out.Close();
 }
 
 Result<Clustering> ReadClustering(const std::string& path,
                                   const IoLimits& limits) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open " + path);
+  LineReader in(path, limits.max_line_bytes);
+  if (!in.is_open()) return Status::IOError("cannot open " + path);
   std::vector<Index> labels;
-  std::string line;
+  std::string_view line;
   int64_t line_no = 0;
   for (;;) {
-    const LineRead read = ReadLineBounded(in, limits.max_line_bytes, &line);
+    const LineRead read = in.Next(&line);
     if (read == LineRead::kEof) break;
     ++line_no;
     if (read == LineRead::kTooLong) return LineTooLong(path, line_no, limits);
     if (IsCommentOrBlank(line)) continue;
 
-    TokenCursor cursor{std::string_view(line)};
+    TokenCursor cursor(line);
     std::string_view token;
     int64_t col = 0;
     cursor.Next(&token, &col);  // non-blank line: at least one token
@@ -484,11 +487,12 @@ Result<Clustering> ReadClustering(const std::string& path,
 
 Status WriteClustering(const Clustering& clustering,
                        const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return Status::IOError("cannot open " + path + " for writing");
+  TextWriter out(path);
+  if (!out.is_open()) {
+    return Status::IOError("cannot open " + path + " for writing");
+  }
   for (Index label : clustering.labels()) out << label << '\n';
-  if (!out) return Status::IOError("write failed for " + path);
-  return Status::OK();
+  return out.Close();
 }
 
 }  // namespace dgc

@@ -1,18 +1,25 @@
-// Bounded line reader and token scanner shared by the text readers
-// (graph/io.cc and dynamic/delta_io.cc). Internal to those readers: not
-// part of the public API.
+// Block-buffered line reader, text writer and token scanner shared by the
+// text formats (graph/io.cc and dynamic/delta_io.cc). Internal to those
+// readers and writers: not part of the public API.
 //
-// The readers never trust stream-extraction (`>>`) or strto* behavior:
-// every token is cut out of a bounded line buffer and parsed with
-// std::from_chars, so overflow, trailing junk, and locale effects are all
-// explicit, and every diagnostic carries path:line:column.
+// LineReader pulls the file through one fixed-size block with fread and
+// hands out string_view lines; TextWriter formats numbers with
+// std::to_chars into one fixed-size block and flushes it with fwrite.
+// Neither ever holds the whole file. The readers never trust
+// stream-extraction (`>>`) or strto* behavior: every token is cut out of
+// a bounded line and parsed with std::from_chars, so overflow, trailing
+// junk, and locale effects are all explicit, and every diagnostic carries
+// path:line:column.
 #pragma once
 
 #include <algorithm>
 #include <charconv>
+#include <concepts>
+#include <cstddef>
 #include <cstdint>
-#include <istream>
+#include <cstdio>
 #include <limits>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <system_error>
@@ -38,34 +45,93 @@ inline bool IsCommentOrBlank(std::string_view line) {
 
 enum class LineRead { kLine, kEof, kTooLong };
 
-// Reads one '\n'-terminated line into *out, refusing to buffer more than
-// max_bytes of it (the remainder of an over-long line is left unread — the
-// caller errors out immediately). Returns kEof only when no bytes remain.
-inline LineRead ReadLineBounded(std::istream& in, int64_t max_bytes,
-                                std::string* out) {
-  out->clear();
-  char buf[4096];
-  for (;;) {
-    in.get(buf, sizeof(buf), '\n');
-    const std::streamsize got = in.gcount();
-    if (got > 0) out->append(buf, static_cast<size_t>(got));
-    if (static_cast<int64_t>(out->size()) > max_bytes) return LineRead::kTooLong;
-    if (in.eof()) return out->empty() ? LineRead::kEof : LineRead::kLine;
-    // get() sets failbit when it stores zero characters, which happens on an
-    // empty line (next char is the delimiter). Clear and fall through to
-    // consume the delimiter.
-    if (in.fail()) in.clear();
-    const int next = in.peek();
-    if (next == '\n') {
-      in.get();
-      return LineRead::kLine;
-    }
-    if (next == std::char_traits<char>::eof()) {
-      return out->empty() ? LineRead::kEof : LineRead::kLine;
-    }
-    // Buffer filled mid-line: keep reading the same line.
+// Size of the block LineReader reads and TextWriter fills. It stays below
+// glibc's 128 KiB mmap threshold, so a reader or writer never maps (and on
+// free unmaps and raises the threshold) a buffer of its own.
+inline constexpr size_t kIoBlockBytes = size_t{64} << 10;
+
+// Reads '\n'-terminated lines from a file in fixed blocks of
+// kIoBlockBytes, each fread at the next block-aligned file offset. A line
+// inside one block is handed out as a view into the block; a line that
+// crosses a block boundary is assembled in a carry buffer, the only
+// buffer that grows, and only up to max_line_bytes: a longer line is
+// reported as kTooLong without being buffered whole. A view stays valid
+// until the next Next(). A read error ends the input like end of file.
+class LineReader {
+ public:
+  LineReader(const std::string& path, int64_t max_line_bytes);
+  ~LineReader();
+  LineReader(const LineReader&) = delete;
+  LineReader& operator=(const LineReader&) = delete;
+
+  // False when the file could not be opened.
+  bool is_open() const { return file_ != nullptr; }
+
+  // Stores the next line (without its '\n') in *line. A line of more than
+  // max_line_bytes bytes is kTooLong (the caller errors out at once);
+  // kEof only when no bytes remain.
+  LineRead Next(std::string_view* line);
+
+ private:
+  std::FILE* file_ = nullptr;
+  int64_t max_line_bytes_ = 0;
+  std::unique_ptr<char[]> block_;
+  size_t pos_ = 0;  // first unread byte of the block
+  size_t end_ = 0;  // bytes the last fread stored in the block
+  bool eof_ = false;
+  std::string carry_;  // the start of a line that crosses a block boundary
+};
+
+// Writes text to a file through one block buffer. Integers are formatted
+// with std::to_chars; doubles as std::to_chars general at precision 6,
+// which is byte for byte what `std::ostream << double` writes by default.
+// Close() reports any failed fwrite or fclose as "write failed for
+// <path>"; without Close() the destructor flushes and closes silently.
+class TextWriter {
+ public:
+  explicit TextWriter(const std::string& path);
+  ~TextWriter();
+  TextWriter(const TextWriter&) = delete;
+  TextWriter& operator=(const TextWriter&) = delete;
+
+  // False when the file could not be opened for writing.
+  bool is_open() const { return file_ != nullptr; }
+
+  TextWriter& operator<<(char c) {
+    if (used_ == kIoBlockBytes) Flush();
+    buf_[used_++] = c;
+    return *this;
   }
-}
+  TextWriter& operator<<(std::string_view text);
+  TextWriter& operator<<(double value);
+  template <typename T>
+    requires(std::integral<T> && !std::same_as<T, char> &&
+             !std::same_as<T, bool>)
+  TextWriter& operator<<(T value) {
+    if (kIoBlockBytes - used_ < kMaxNumberChars) Flush();
+    char* const first = buf_.get() + used_;
+    used_ += static_cast<size_t>(
+        std::to_chars(first, first + kMaxNumberChars, value).ptr - first);
+    return *this;
+  }
+
+  // Flushes and closes the file; IOError naming the path if any write or
+  // the close failed.
+  Status Close();
+
+ private:
+  // Longest formatted number: 20 digits and a sign for 64-bit integers;
+  // "-1.23457e-308" for a double at precision 6.
+  static constexpr size_t kMaxNumberChars = 32;
+
+  void Flush();
+
+  std::string path_;
+  std::FILE* file_ = nullptr;
+  std::unique_ptr<char[]> buf_;
+  size_t used_ = 0;
+  bool failed_ = false;
+};
 
 // Whitespace-separated token walker with 1-based column positions.
 class TokenCursor {

@@ -1,7 +1,6 @@
 #include "util/options.h"
 
 #include <cstdlib>
-#include <sstream>
 
 #include "util/logging.h"
 
@@ -98,34 +97,6 @@ bool Options::GetBool(const std::string& name, bool default_value) const {
   DGC_LOG(Fatal) << "flag --" << name << " expects a boolean, got '" << v
                  << "'";
   return default_value;
-}
-
-std::vector<int64_t> Options::GetIntList(
-    const std::string& name, const std::vector<int64_t>& default_value) const {
-  auto it = Find(name);
-  if (it == flags_.end()) return default_value;
-  std::vector<int64_t> out;
-  std::stringstream ss(it->second);
-  std::string tok;
-  while (std::getline(ss, tok, ',')) {
-    if (tok.empty()) continue;
-    out.push_back(std::strtoll(tok.c_str(), nullptr, 10));
-  }
-  return out;
-}
-
-std::vector<double> Options::GetDoubleList(
-    const std::string& name, const std::vector<double>& default_value) const {
-  auto it = Find(name);
-  if (it == flags_.end()) return default_value;
-  std::vector<double> out;
-  std::stringstream ss(it->second);
-  std::string tok;
-  while (std::getline(ss, tok, ',')) {
-    if (tok.empty()) continue;
-    out.push_back(std::strtod(tok.c_str(), nullptr));
-  }
-  return out;
 }
 
 }  // namespace dgc

@@ -43,14 +43,6 @@ class Options {
   double GetDouble(const std::string& name, double default_value) const;
   bool GetBool(const std::string& name, bool default_value) const;
 
-  /// Comma-separated list of integers, e.g. --ks=20,40,60.
-  std::vector<int64_t> GetIntList(
-      const std::string& name, const std::vector<int64_t>& default_value) const;
-
-  /// Comma-separated list of doubles.
-  std::vector<double> GetDoubleList(
-      const std::string& name, const std::vector<double>& default_value) const;
-
   const std::vector<std::string>& positional() const { return positional_; }
 
   /// InvalidArgument naming every flag on the command line that no
