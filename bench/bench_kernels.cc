@@ -48,6 +48,7 @@
 #include "linalg/spgemm.h"
 #include "linalg/spgemm_tiled.h"
 #include "obs/metrics.h"
+#include "util/rng.h"
 #include "util/timer.h"
 
 // Stand-in dataset scale, settable via --scale= (file-scope so the custom
@@ -434,6 +435,38 @@ void BM_ReadEdgeList(benchmark::State& state) {
   state.SetLabel(d.name);
 }
 BENCHMARK(BM_ReadEdgeList)->Unit(benchmark::kMillisecond);
+
+// The CSR build under ReadEdgeList, on the stand-in's edges: arg 0 in the
+// row order every writer here produces (no row needs sorting), arg 1
+// shuffled (each row that comes out of column order is stable-sorted).
+void BM_FromTriplets(benchmark::State& state) {
+  const Dataset& d = StandIn(3);
+  const CsrMatrix& adj = d.graph.adjacency();
+  std::vector<Triplet> triplets;
+  triplets.reserve(static_cast<size_t>(adj.nnz()));
+  for (Index r = 0; r < adj.rows(); ++r) {
+    for (size_t i = 0; i < adj.RowCols(r).size(); ++i) {
+      triplets.push_back(Triplet{r, adj.RowCols(r)[i], adj.RowValues(r)[i]});
+    }
+  }
+  if (state.range(0) == 1) {
+    Rng rng(7);
+    rng.Shuffle(triplets);
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<Triplet> copy = triplets;
+    state.ResumeTiming();
+    auto m = CsrMatrix::FromTriplets(adj.rows(), adj.cols(), std::move(copy));
+    DGC_CHECK(m.ok());
+    benchmark::DoNotOptimize(m);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(triplets.size()));
+  state.SetLabel(std::string(d.name) +
+                 (state.range(0) == 1 ? " shuffled" : " row-ordered"));
+}
+BENCHMARK(BM_FromTriplets)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_WriteMetisGraph(benchmark::State& state) {
   const Dataset& d = StandIn(3);

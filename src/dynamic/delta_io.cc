@@ -18,6 +18,7 @@ using text_scan::LineReader;
 using text_scan::LineTooLong;
 using text_scan::ParseDouble;
 using text_scan::ParseInt64;
+using text_scan::ReadFailed;
 using text_scan::TokenCursor;
 using text_scan::TokenPreview;
 using text_scan::Where;
@@ -74,6 +75,7 @@ Result<std::vector<EdgeDeltaBatch>> ReadDeltaBatches(const std::string& path,
   int64_t line_no = 0;
   for (;;) {
     const LineRead read = in.Next(&line);
+    if (read == LineRead::kError) return ReadFailed(path);
     if (read == LineRead::kEof) break;
     ++line_no;
     if (read == LineRead::kTooLong) return LineTooLong(path, line_no, limits);

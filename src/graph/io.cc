@@ -20,6 +20,7 @@ using text_scan::LineReader;
 using text_scan::LineTooLong;
 using text_scan::ParseDouble;
 using text_scan::ParseInt64;
+using text_scan::ReadFailed;
 using text_scan::TextWriter;
 using text_scan::TokenCursor;
 using text_scan::TokenPreview;
@@ -60,6 +61,7 @@ Result<Digraph> ReadEdgeList(const std::string& path, Index num_vertices,
   int64_t line_no = 0;
   for (;;) {
     const LineRead read = in.Next(&line);
+    if (read == LineRead::kError) return ReadFailed(path);
     if (read == LineRead::kEof) break;
     ++line_no;
     if (read == LineRead::kTooLong) return LineTooLong(path, line_no, limits);
@@ -142,6 +144,23 @@ Status WriteEdgeList(const Digraph& g, const std::string& path) {
   return out.Close();
 }
 
+Status WriteUndirectedEdgeList(const UGraph& g, const std::string& path) {
+  TextWriter out(path);
+  if (!out.is_open()) {
+    return Status::IOError("cannot open " + path + " for writing");
+  }
+  out << "# undirected weighted edge list: u v weight (u < v)\n";
+  const CsrMatrix& a = g.adjacency();
+  for (Index u = 0; u < g.NumVertices(); ++u) {
+    auto cols = a.RowCols(u);
+    auto vals = a.RowValues(u);
+    for (size_t i = 0; i < cols.size(); ++i) {
+      if (cols[i] > u) out << u << ' ' << cols[i] << ' ' << vals[i] << '\n';
+    }
+  }
+  return out.Close();
+}
+
 Result<UGraph> ReadMetisGraph(const std::string& path,
                               const IoLimits& limits) {
   LineReader in(path, limits.max_line_bytes);
@@ -156,6 +175,7 @@ Result<UGraph> ReadMetisGraph(const std::string& path,
   bool saw_header = false;
   while (!saw_header) {
     const LineRead read = in.Next(&line);
+    if (read == LineRead::kError) return ReadFailed(path);
     if (read == LineRead::kEof) {
       return Status::IOError(path + ": missing METIS header 'n m [fmt]'");
     }
@@ -236,6 +256,7 @@ Result<UGraph> ReadMetisGraph(const std::string& path,
   int64_t u = 0;
   while (u < n) {
     const LineRead read = in.Next(&line);
+    if (read == LineRead::kError) return ReadFailed(path);
     if (read == LineRead::kEof) break;
     ++line_no;
     if (read == LineRead::kTooLong) return LineTooLong(path, line_no, limits);
@@ -304,6 +325,7 @@ Result<UGraph> ReadMetisGraph(const std::string& path,
   // Anything after the body other than comments/blank lines is an error.
   for (;;) {
     const LineRead read = in.Next(&line);
+    if (read == LineRead::kError) return ReadFailed(path);
     if (read == LineRead::kEof) break;
     ++line_no;
     if (read == LineRead::kTooLong) return LineTooLong(path, line_no, limits);
@@ -357,6 +379,7 @@ Result<GroundTruth> ReadGroundTruth(const std::string& path,
   int64_t line_no = 0;
   for (;;) {
     const LineRead read = in.Next(&line);
+    if (read == LineRead::kError) return ReadFailed(path);
     if (read == LineRead::kEof) break;
     ++line_no;
     if (read == LineRead::kTooLong) return LineTooLong(path, line_no, limits);
@@ -450,6 +473,7 @@ Result<Clustering> ReadClustering(const std::string& path,
   int64_t line_no = 0;
   for (;;) {
     const LineRead read = in.Next(&line);
+    if (read == LineRead::kError) return ReadFailed(path);
     if (read == LineRead::kEof) break;
     ++line_no;
     if (read == LineRead::kTooLong) return LineTooLong(path, line_no, limits);

@@ -56,6 +56,10 @@ Result<Digraph> ReadEdgeList(const std::string& path, Index num_vertices = 0,
 /// Writes "src dst weight" lines (weight omitted when uniformly 1).
 Status WriteEdgeList(const Digraph& g, const std::string& path);
 
+/// Writes an undirected graph as "u v weight" lines, each edge once with
+/// u < v, after one '#' header line. Self-loops are not written.
+Status WriteUndirectedEdgeList(const UGraph& g, const std::string& path);
+
 /// \brief Reads an undirected graph in METIS format: header "n m [fmt]",
 /// then line i lists the neighbors of vertex i (1-based), with weights when
 /// fmt has the edge-weight bit (001). Vertex-weight/size fmt bits are

@@ -26,6 +26,7 @@ LineRead LineReader::Next(std::string_view* line) {
       end_ = std::fread(block_.get(), 1, kIoBlockBytes, file_);
       pos_ = 0;
       eof_ = end_ < kIoBlockBytes;
+      if (eof_ && std::ferror(file_) != 0) return LineRead::kError;
       continue;
     }
     const char* const first = block_.get() + pos_;

@@ -43,7 +43,7 @@ inline bool IsCommentOrBlank(std::string_view line) {
   return true;  // blank
 }
 
-enum class LineRead { kLine, kEof, kTooLong };
+enum class LineRead { kLine, kEof, kTooLong, kError };
 
 // Size of the block LineReader reads and TextWriter fills. It stays below
 // glibc's 128 KiB mmap threshold, so a reader or writer never maps (and on
@@ -56,7 +56,7 @@ inline constexpr size_t kIoBlockBytes = size_t{64} << 10;
 // crosses a block boundary is assembled in a carry buffer, the only
 // buffer that grows, and only up to max_line_bytes: a longer line is
 // reported as kTooLong without being buffered whole. A view stays valid
-// until the next Next(). A read error ends the input like end of file.
+// until the next Next(). A failed read is kError, never end of file.
 class LineReader {
  public:
   LineReader(const std::string& path, int64_t max_line_bytes);
@@ -68,8 +68,8 @@ class LineReader {
   bool is_open() const { return file_ != nullptr; }
 
   // Stores the next line (without its '\n') in *line. A line of more than
-  // max_line_bytes bytes is kTooLong (the caller errors out at once);
-  // kEof only when no bytes remain.
+  // max_line_bytes bytes is kTooLong and a failed fread is kError (the
+  // caller errors out at once on either); kEof only when no bytes remain.
   LineRead Next(std::string_view* line);
 
  private:
@@ -228,6 +228,10 @@ inline Status ParseDouble(const std::string& path, int64_t line_no,
                            "'");
   }
   return Status::OK();
+}
+
+inline Status ReadFailed(const std::string& path) {
+  return Status::IOError("read failed for " + path);
 }
 
 inline Status LineTooLong(const std::string& path, int64_t line_no,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <utility>
 
 #include "util/logging.h"
 #include "util/thread_pool.h"
@@ -51,32 +52,68 @@ Result<CsrMatrix> CsrMatrix::FromTriplets(Index rows, Index cols,
                                 std::to_string(cols));
     }
   }
-  std::sort(triplets.begin(), triplets.end(),
-            [](const Triplet& a, const Triplet& b) {
-              return a.row != b.row ? a.row < b.row : a.col < b.col;
-            });
-  // Combine duplicates in place.
-  size_t out = 0;
-  for (size_t i = 0; i < triplets.size(); ++i) {
-    if (out > 0 && triplets[out - 1].row == triplets[i].row &&
-        triplets[out - 1].col == triplets[i].col) {
-      triplets[out - 1].value += triplets[i].value;
-    } else {
-      triplets[out++] = triplets[i];
-    }
-  }
-  triplets.resize(out);
-
+  // Row histogram, then a stable scatter: row_ptr[r] first holds row r's
+  // next free slot and ends at its end, which is row r + 1's start. Each
+  // row keeps its triplets in input order.
   std::vector<Offset> row_ptr(static_cast<size_t>(rows) + 1, 0);
-  std::vector<Index> col_idx(out);
-  std::vector<Scalar> values(out);
   for (const Triplet& t : triplets) ++row_ptr[static_cast<size_t>(t.row) + 1];
   for (Index r = 0; r < rows; ++r) {
     row_ptr[static_cast<size_t>(r) + 1] += row_ptr[static_cast<size_t>(r)];
   }
-  for (size_t i = 0; i < out; ++i) {
-    col_idx[i] = triplets[i].col;
-    values[i] = triplets[i].value;
+  std::vector<Index> col_idx(triplets.size());
+  std::vector<Scalar> values(triplets.size());
+  for (const Triplet& t : triplets) {
+    const size_t at =
+        static_cast<size_t>(row_ptr[static_cast<size_t>(t.row)]++);
+    col_idx[at] = t.col;
+    values[at] = t.value;
+  }
+  std::vector<Triplet>().swap(triplets);
+  for (Index r = rows; r > 0; --r) {
+    row_ptr[static_cast<size_t>(r)] = row_ptr[static_cast<size_t>(r) - 1];
+  }
+  row_ptr[0] = 0;
+
+  // Per row: a stable sort if the row is out of column order (row-ordered
+  // input skips it), then duplicates summed left to right while the row is
+  // compacted in place. Duplicates thus add in input order, so the result
+  // is a function of the triplet sequence alone.
+  std::vector<std::pair<Index, Scalar>> row;
+  size_t out = 0;
+  size_t lo = 0;
+  for (Index r = 0; r < rows; ++r) {
+    const size_t hi = static_cast<size_t>(row_ptr[static_cast<size_t>(r) + 1]);
+    if (!std::is_sorted(col_idx.begin() + static_cast<ptrdiff_t>(lo),
+                        col_idx.begin() + static_cast<ptrdiff_t>(hi))) {
+      row.clear();
+      for (size_t i = lo; i < hi; ++i) row.emplace_back(col_idx[i], values[i]);
+      std::stable_sort(row.begin(), row.end(),
+                       [](const auto& x, const auto& y) {
+                         return x.first < y.first;
+                       });
+      for (size_t i = lo; i < hi; ++i) {
+        col_idx[i] = row[i - lo].first;
+        values[i] = row[i - lo].second;
+      }
+    }
+    const size_t row_start = out;
+    for (size_t i = lo; i < hi; ++i) {
+      if (out > row_start && col_idx[out - 1] == col_idx[i]) {
+        values[out - 1] += values[i];
+      } else {
+        col_idx[out] = col_idx[i];
+        values[out] = values[i];
+        ++out;
+      }
+    }
+    row_ptr[static_cast<size_t>(r) + 1] = static_cast<Offset>(out);
+    lo = hi;
+  }
+  if (out < col_idx.size()) {
+    col_idx.resize(out);
+    values.resize(out);
+    col_idx.shrink_to_fit();
+    values.shrink_to_fit();
   }
   CsrMatrix m = FromPartsUnchecked(rows, cols, std::move(row_ptr),
                                    std::move(col_idx), std::move(values));

@@ -43,9 +43,11 @@ class CsrMatrix {
                                       std::vector<Index> col_idx,
                                       std::vector<Scalar> values);
 
-  /// Builds from unsorted triplets; duplicate (row, col) entries are summed.
-  /// Entries whose summed value is exactly 0 are kept (callers that want to
-  /// drop them should Prune with an epsilon).
+  /// Builds from unsorted triplets; duplicate (row, col) entries are summed
+  /// in input order. Entries whose summed value is exactly 0 are kept
+  /// (callers that want to drop them should Prune with an epsilon).
+  /// O(nnz + rows) when each row's triplets come in column order; a row
+  /// that does not is stable-sorted on its own.
   static Result<CsrMatrix> FromTriplets(Index rows, Index cols,
                                         std::vector<Triplet> triplets);
 

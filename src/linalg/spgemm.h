@@ -55,8 +55,9 @@ struct SpGemmOptions {
 
 /// \brief C = A * B using Gustavson's algorithm with a dense accumulator.
 ///
-/// Per output row: scatter contributions into a cols(B)-sized accumulator,
-/// gather touched columns, sort, filter by `options`. Complexity
+/// Per output row: scatter contributions into a cols(B)-sized accumulator
+/// (held at zero between rows), filter the touched columns by `options` in
+/// first-touch order, then sort only the survivors. Complexity
 /// O(sum_i sum_{k in row i of A} nnz(B_k)) — the paper's O(sum d_i^2) bound
 /// for similarity products. Two-pass row-parallel execution: rows are
 /// computed into per-worker buffers (dynamic chunking over the persistent

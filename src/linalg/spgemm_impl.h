@@ -34,15 +34,19 @@ namespace spgemm_internal {
 /// worker's buffered output rows (row ids and concatenated cols/vals), so
 /// pass 2 can copy straight into the final CSR without any per-row
 /// std::vector allocations.
+///
+/// `accum` is held at zero between rows: EmitRow re-zeroes every entry the
+/// row touched, so a row's first term lands on 0.0 exactly as if the
+/// entry had been zeroed on first touch.
 struct SpGemmWorkspace {
   std::vector<Scalar> accum;
   std::vector<Index> marker;
-  /// First-touch column list of the current row. Fixed-size buffer (every
-  /// column is touched at most once per row); `touched_count` is its
-  /// length.
+  /// First-touch column list of the current row. n + 1 slots: the row
+  /// kernels store every candidate column at touched[count] and advance
+  /// count only on a first touch, so once all n columns are in the list
+  /// the next store lands in slot n.
   std::vector<Index> touched;
   std::vector<Index> sort_scratch;  ///< radix-sort ping-pong buffer
-  Index touched_count = 0;
   Index dim = 0;  ///< accumulator width (radix bound for column sorting)
   std::vector<Index> rows;   ///< output rows buffered by this worker
   std::vector<Index> cols;   ///< their column indices, concatenated
@@ -56,7 +60,7 @@ struct SpGemmWorkspace {
     if (static_cast<Index>(marker.size()) < n) {
       accum.assign(static_cast<size_t>(n), 0.0);
       marker.assign(static_cast<size_t>(n), -1);
-      touched.resize(static_cast<size_t>(n));
+      touched.resize(static_cast<size_t>(n) + 1);
       sort_scratch.resize(static_cast<size_t>(n));
     }
     dim = n;
@@ -74,47 +78,58 @@ struct SpGemmWorkspace {
   /// Invalidates every marker stamp. Required whenever a workspace is
   /// reused for a SECOND product over the same row ids (the tiled driver's
   /// B-then-C passes): stamps are global row ids, so without the reset the
-  /// C pass would see row r's B-pass stamps as "already touched", skip the
-  /// first-touch zeroing, and both corrupt the values and drop entries
-  /// from the touched list. First touch re-zeroes accum, so only the
-  /// marker array needs clearing. O(dim).
+  /// C pass would see row r's B-pass stamps as "already touched" and leave
+  /// those columns out of the touched list, so their sums would be neither
+  /// emitted nor re-zeroed. The accumulator is already zero between rows,
+  /// so only the marker array needs clearing. O(dim).
   void ResetMarkers() { std::fill(marker.begin(), marker.end(), -1); }
 };
 
-/// Appends row `row`'s surviving accumulator entries (sorted by column) to
-/// w.cols / w.vals, applying the threshold and diagonal filters. Shared by
-/// the general and the upper-triangle kernels so filtering is bit-identical.
-inline void EmitRow(Index row, const SpGemmOptions& options,
+/// Appends the surviving entries of row `row`, whose columns are the first
+/// `count` of w.touched, to w.cols / w.vals sorted by column, applying the
+/// threshold and diagonal filters, and re-zeroes every touched accumulator
+/// entry. Shared by the general and the upper-triangle kernels so
+/// filtering is bit-identical. The filter runs in first-touch order and
+/// only the survivors are sorted: a similarity row typically keeps a few
+/// percent of what it touches.
+inline void EmitRow(Index row, size_t count, const SpGemmOptions& options,
                     SpGemmWorkspace& w) {
-  const size_t count = static_cast<size_t>(w.touched_count);
-  // Unique keys, so the radix order equals the std::sort order exactly.
-  RadixSortIndices(w.touched.data(), count, w.sort_scratch.data(), w.dim);
-  const size_t before = w.cols.size();
-  w.cols.resize(before + count);
-  w.vals.resize(before + count);
+  Scalar* accum = w.accum.data();
+  Index* touched = w.touched.data();
   // Only threshold drops are counted; NaN compares false and is kept.
-  size_t out = before;
+  size_t kept = 0;
   int64_t dropped = 0;
   for (size_t p = 0; p < count; ++p) {
-    const Index c = w.touched[p];
-    const Scalar v = w.accum[static_cast<size_t>(c)];
-    if (std::abs(v) < options.threshold) {
+    const Index c = touched[p];
+    if (std::abs(accum[c]) < options.threshold) {
       ++dropped;
-      continue;
+      accum[c] = 0.0;
+    } else if (options.drop_diagonal && c == row) {
+      accum[c] = 0.0;
+    } else {
+      touched[kept++] = c;
     }
-    if (options.drop_diagonal && c == row) continue;
-    w.cols[out] = c;
-    w.vals[out] = v;
-    ++out;
   }
   w.dropped += dropped;
-  w.cols.resize(out);
-  w.vals.resize(out);
+  // Unique keys, so the radix order equals the std::sort order exactly.
+  RadixSortIndices(touched, kept, w.sort_scratch.data(), w.dim);
+  const size_t before = w.cols.size();
+  w.cols.resize(before + kept);
+  w.vals.resize(before + kept);
+  Index* out_cols = w.cols.data() + before;
+  Scalar* out_vals = w.vals.data() + before;
+  for (size_t p = 0; p < kept; ++p) {
+    const Index c = touched[p];
+    out_cols[p] = c;
+    out_vals[p] = accum[c];
+    accum[c] = 0.0;
+  }
 }
 
 /// Computes one output row of C = A * B, appending the surviving entries to
 /// w.cols / w.vals (sorted by column). marker[c] == row marks column c as
-/// touched for the current row.
+/// touched for the current row; the first-touch test is folded into the
+/// count instead of a branch, since most columns of a row are new.
 inline void ComputeRow(const CsrMatrix& a, const CsrMatrix& b, Index row,
                        const SpGemmOptions& options, SpGemmWorkspace& w) {
   Scalar* accum = w.accum.data();
@@ -129,16 +144,13 @@ inline void ComputeRow(const CsrMatrix& a, const CsrMatrix& b, Index row,
     auto b_vals = b.RowValues(a_cols[i]);
     for (size_t p = 0; p < b_cols.size(); ++p) {
       const Index c = b_cols[p];
-      if (marker[c] != row) {
-        marker[c] = row;
-        accum[c] = 0.0;
-        touched[count++] = c;
-      }
+      touched[count] = c;
+      count += marker[c] != row;
+      marker[c] = row;
       accum[c] += av * b_vals[p];
     }
   }
-  w.touched_count = count;
-  EmitRow(row, options, w);
+  EmitRow(row, static_cast<size_t>(count), options, w);
 }
 
 /// Computes one upper-triangle row (candidates j >= row only) of the scaled
@@ -184,16 +196,13 @@ inline void ComputeUpperRow(const CsrMatrix& a, const CsrMatrix& at,
       Scalar bv = t_vals[p];
       if (has_row_scale) bv *= row_scale[static_cast<size_t>(j)];
       if (has_col_scale) bv *= ck;
-      if (marker[j] != row) {
-        marker[j] = row;
-        accum[j] = 0.0;
-        touched[count++] = j;
-      }
+      touched[count] = j;
+      count += marker[j] != row;
+      marker[j] = row;
       accum[j] += av * bv;
     }
   }
-  w.touched_count = count;
-  EmitRow(row, options, w);
+  EmitRow(row, static_cast<size_t>(count), options, w);
 }
 
 /// Two-pass assembly shared by the row-parallel kernels: pass 1 ran already

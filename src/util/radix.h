@@ -1,12 +1,13 @@
 // LSD radix sort for the column-index arrays of the SpGEMM hot path.
 //
-// EmitRow sorts every output row's touched-column list; on hub-heavy
-// similarity rows that list runs to thousands of entries and std::sort's
-// comparison cost dominates the row. Column indices are non-negative
-// int32 values bounded by the matrix dimension, so a byte-wise LSD
-// counting sort does the same job in a small number of linear passes —
-// and because the keys are distinct, any correct sort produces the same
-// permutation, keeping output bit-identical to the std::sort path.
+// EmitRow sorts the columns of every output row that survive the
+// threshold; on hub-heavy similarity rows they run to thousands of
+// entries and std::sort's comparison cost would dominate the row. Column
+// indices are non-negative int32 values bounded by the matrix dimension,
+// so a byte-wise LSD counting sort does the same job in a small number of
+// linear passes — and because the keys are distinct, any correct sort
+// produces the same permutation, keeping output bit-identical to the
+// std::sort path.
 #pragma once
 
 #include <algorithm>

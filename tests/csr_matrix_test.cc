@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -50,6 +53,58 @@ TEST(CsrMatrixTest, FromTripletsRejectsOutOfRange) {
   auto result = CsrMatrix::FromTriplets(2, 2, {{0, 5, 1.0}});
   EXPECT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsOutOfRange());
+}
+
+// Duplicates add left to right in input order, whether or not their row
+// needs sorting: 1e16 + 1 rounds back to 1e16, so the order decides
+// between 0 and 1.
+TEST(CsrMatrixTest, FromTripletsSumsDuplicatesInInputOrder) {
+  CsrMatrix m = Make(2, 3,
+                     {{0, 1, 1e16}, {0, 1, 1.0}, {0, 1, -1e16},
+                      {1, 2, 5.0}, {1, 1, 1e16}, {1, 0, 7.0},
+                      {1, 1, -1e16}, {1, 1, 1.0}});
+  EXPECT_EQ(m.nnz(), 4);
+  EXPECT_EQ(m.At(0, 1), 0.0);
+  EXPECT_EQ(m.At(1, 1), 1.0);
+  EXPECT_EQ(m.At(1, 0), 7.0);
+  EXPECT_EQ(m.At(1, 2), 5.0);
+}
+
+// A long shuffled row with many duplicates equals a std::stable_sort of
+// the triplets by (row, col) followed by a left-to-right duplicate sum.
+TEST(CsrMatrixTest, FromTripletsMatchesStableSortReference) {
+  Rng rng(31);
+  std::vector<Triplet> t;
+  for (int i = 0; i < 3000; ++i) {
+    const Index row = i % 3 == 0 ? 0 : (i % 3 == 1 ? 2 : 3);
+    t.push_back({row, static_cast<Index>(rng.UniformU64(700)),
+                 rng.UniformDouble() * 1e3 - 4e2});
+  }
+  std::vector<Triplet> ref = t;
+  std::stable_sort(ref.begin(), ref.end(),
+                   [](const Triplet& x, const Triplet& y) {
+                     return x.row != y.row ? x.row < y.row : x.col < y.col;
+                   });
+  std::vector<Triplet> summed;
+  for (const Triplet& x : ref) {
+    if (!summed.empty() && summed.back().row == x.row &&
+        summed.back().col == x.col) {
+      summed.back().value += x.value;
+    } else {
+      summed.push_back(x);
+    }
+  }
+  CsrMatrix m = Make(5, 700, t);
+  ASSERT_TRUE(m.Validate().ok());
+  ASSERT_EQ(m.nnz(), static_cast<Offset>(summed.size()));
+  size_t p = 0;
+  for (Index r = 0; r < m.rows(); ++r) {
+    for (size_t i = 0; i < m.RowCols(r).size(); ++i, ++p) {
+      EXPECT_EQ(summed[p].row, r);
+      EXPECT_EQ(summed[p].col, m.RowCols(r)[i]);
+      EXPECT_EQ(summed[p].value, m.RowValues(r)[i]);
+    }
+  }
 }
 
 TEST(CsrMatrixTest, FromPartsValidates) {

@@ -668,12 +668,42 @@ TEST_F(IoTest, WritersReportAFullDevice) {
   truth.categories = {{0, 1}, {2}};
   const Clustering c(std::vector<Index>{0, 0, 1});
   const Status statuses[] = {WriteEdgeList(*g, full),
+                             WriteUndirectedEdgeList(*u, full),
                              WriteMetisGraph(*u, full),
                              WriteGroundTruth(truth, full),
                              WriteClustering(c, full)};
   for (const Status& status : statuses) {
     EXPECT_EQ(status.ToString(), "IOError: write failed for /dev/full");
   }
+}
+
+// The undirected writer's bytes are those of the `std::ofstream` copies
+// it replaced in dgc_symmetrize and dgc_update: each edge once (u < v),
+// weights as `std::ostream <<` prints them.
+TEST_F(IoTest, UndirectedWriterBytesArePinned) {
+  auto u = UGraph::FromEdges(
+      5, {{0, 1, 0.1}, {0, 2, 1e-7}, {1, 2, 123456789}, {2, 4, 3}});
+  ASSERT_TRUE(u.ok());
+  ASSERT_TRUE(WriteUndirectedEdgeList(*u, Path("pin_u.txt")).ok());
+  EXPECT_EQ(ReadAll(Path("pin_u.txt")),
+            "# undirected weighted edge list: u v weight (u < v)\n"
+            "0 1 0.1\n"
+            "0 2 1e-07\n"
+            "1 2 1.23457e+08\n"
+            "2 4 3\n");
+}
+
+// A failed read must not pass for end of file: every reader opened on a
+// directory (fopen succeeds, fread fails) reports an IOError naming the
+// path instead of an empty result.
+TEST_F(IoTest, ReadersReportAReadError) {
+  const std::string dir = dir_.string();
+  const std::string expected = "IOError: read failed for " + dir;
+  EXPECT_EQ(ReadEdgeList(dir).status().ToString(), expected);
+  EXPECT_EQ(ReadMetisGraph(dir).status().ToString(), expected);
+  EXPECT_EQ(ReadGroundTruth(dir, 4).status().ToString(), expected);
+  EXPECT_EQ(ReadClustering(dir).status().ToString(), expected);
+  EXPECT_EQ(ReadDeltaBatches(dir, 4).status().ToString(), expected);
 }
 
 }  // namespace

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <string_view>
 #include <variant>
 
+#include "linalg/spgemm_tiled.h"
 #include "obs/metrics.h"
 #include "util/rng.h"
 
@@ -258,6 +261,111 @@ TEST(SpGemmTest, EmptyProduct) {
   EXPECT_EQ(c->nnz(), 0);
   EXPECT_EQ(c->rows(), 3);
   EXPECT_EQ(c->cols(), 5);
+}
+
+bool SameBytes(const CsrMatrix& x, const CsrMatrix& y) {
+  return x.rows() == y.rows() && x.cols() == y.cols() &&
+         x.nnz() == y.nnz() &&
+         std::memcmp(x.row_ptr().data(), y.row_ptr().data(),
+                     x.row_ptr().size_bytes()) == 0 &&
+         std::memcmp(x.col_idx().data(), y.col_idx().data(),
+                     x.col_idx().size_bytes()) == 0 &&
+         std::memcmp(x.values().data(), y.values().data(),
+                     x.values().size_bytes()) == 0;
+}
+
+// Row 0 of A has two entries whose B rows each cover all n columns: once
+// the first B row has touched every column, each further candidate is
+// stored in the last slot of the touched list. The rows after it must
+// start from a clean accumulator. n = 5 and 300 sit on both sides of the
+// radix-sort cutover.
+TEST(SpGemmTest, RowTouchingEveryColumn) {
+  for (Index n : {5, 300}) {
+    std::vector<Triplet> at = {{0, 0, 1.5}, {0, 1, -0.25}, {1, 1, 2.0}};
+    for (Index r = 2; r < n; ++r) at.push_back({r, r % 2, 0.5});
+    std::vector<Triplet> bt;
+    for (Index j = 0; j < n; ++j) {
+      bt.push_back({0, j, 0.5 * (j + 1)});
+      bt.push_back({1, j, 1.0 / (j + 1)});
+    }
+    auto a = std::move(CsrMatrix::FromTriplets(n, 2, at)).ValueOrDie();
+    auto b = std::move(CsrMatrix::FromTriplets(2, n, bt)).ValueOrDie();
+    auto c = SpGemm(a, b);
+    ASSERT_TRUE(c.ok());
+    EXPECT_EQ(c->RowNnz(0), n);
+    const std::vector<Scalar> dense = DenseProduct(a, b);
+    for (Index i = 0; i < n; ++i) {
+      for (Index j = 0; j < n; ++j) {
+        EXPECT_EQ(c->At(i, j), dense[static_cast<size_t>(i) * n + j])
+            << "n=" << n << " (" << i << "," << j << ")";
+      }
+    }
+  }
+}
+
+// The upper-triangle kernel on a dense n x 2 A: row 0's candidates are all
+// n rows for k = 0 and again for k = 1, so the second pass stores into the
+// last touched slot. Every upper entry equals SpGemm(A, Aᵀ) bit for bit
+// (same k order).
+TEST(SpGemmTest, SymmetricRowTouchingEveryColumn) {
+  for (Index n : {5, 300}) {
+    std::vector<Triplet> t;
+    for (Index r = 0; r < n; ++r) {
+      t.push_back({r, 0, 1.0 + 0.01 * r});
+      t.push_back({r, 1, 1.0 / (r + 1)});
+    }
+    auto a = std::move(CsrMatrix::FromTriplets(n, 2, t)).ValueOrDie();
+    auto upper = SpGemmAAtSymmetric(a, {}, {});
+    auto full = SpGemm(a, a.Transpose());
+    ASSERT_TRUE(upper.ok());
+    ASSERT_TRUE(full.ok());
+    EXPECT_EQ(upper->RowNnz(0), n);
+    EXPECT_EQ(upper->nnz(), static_cast<Offset>(n) * (n + 1) / 2);
+    for (Index i = 0; i < n; ++i) {
+      for (Index j = i; j < n; ++j) {
+        EXPECT_EQ(upper->At(i, j), full->At(i, j))
+            << "n=" << n << " (" << i << "," << j << ")";
+      }
+    }
+  }
+}
+
+// At tile_rows = 1 each worker's workspace runs the B product and then
+// the C product over the same row, while rows drop entries to the
+// threshold and the diagonal; the accumulator must come back clean every
+// time. The result is byte-equal to the one-tile (in-memory) plan, which
+// gives every product fresh workspaces.
+TEST(SpGemmTest, ReusedWorkspaceMatchesInMemoryWhileRowsDropEntries) {
+  const Index n = 80;
+  CsrMatrix a = Random(n, n, 640, 11);
+  CsrMatrix at = a.Transpose();
+  Rng rng(12);
+  std::vector<Scalar> scales[4];
+  for (std::vector<Scalar>& s : scales) {
+    for (Index i = 0; i < n; ++i) s.push_back(0.5 + rng.UniformDouble());
+  }
+  // Half the products' upper entries fall below t / 2.
+  auto probe = SpGemmAAtSymmetric(a, scales[0], scales[1], {}, &at);
+  ASSERT_TRUE(probe.ok());
+  std::vector<Scalar> values(probe->values().begin(), probe->values().end());
+  std::nth_element(values.begin(), values.begin() + values.size() / 2,
+                   values.end());
+  TiledSymmetricSumOptions options;
+  options.threshold = 2.0 * values[values.size() / 2];
+  MetricsRegistry registry;
+  options.metrics = &registry;
+  options.tile_rows = n;
+  auto in_memory = SymmetricProductSum(a, at, scales[0], scales[1],
+                                       scales[2], scales[3], options);
+  ASSERT_TRUE(in_memory.ok());
+  EXPECT_GT(PrunedEntries(registry, "spgemm.aat_symmetric"), 0);
+  options.metrics = nullptr;
+  options.tile_rows = 1;
+  auto tiled = SymmetricProductSum(a, at, scales[0], scales[1], scales[2],
+                                   scales[3], options);
+  ASSERT_TRUE(tiled.ok());
+  EXPECT_GT(tiled->nnz(), 0);
+  EXPECT_TRUE(SameBytes(*in_memory, *tiled));
 }
 
 }  // namespace

@@ -362,8 +362,9 @@ TEST(VectorOpsTest, InversePowerHandlesZeros) {
 }
 
 TEST(RadixSortTest, RadixSortMatchesStdSortOnDistinctKeys) {
-  // EmitRow sorts the touched list with RadixSortIndices; CSR rows hold
-  // distinct keys, for which LSD radix and std::sort agree exactly.
+  // EmitRow sorts a row's surviving columns with RadixSortIndices; CSR
+  // rows hold distinct keys, for which LSD radix and std::sort agree
+  // exactly.
   for (size_t n : {size_t{0}, size_t{5}, size_t{127}, size_t{128},
                    size_t{1000}, size_t{4096}}) {
     Rng rng(8000 + n);

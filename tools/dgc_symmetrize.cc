@@ -19,7 +19,6 @@
 // --spill-dir, default system temp) when the in-memory estimate exceeds
 // the budget, instead of aborting (docs/OUT_OF_CORE.md).
 #include <cstdio>
-#include <fstream>
 #include <string>
 
 #include "core/symmetrize.h"
@@ -30,27 +29,6 @@
 #include "util/budget.h"
 #include "util/options.h"
 #include "util/timer.h"
-
-namespace {
-
-dgc::Status WriteUndirectedEdgeList(const dgc::UGraph& g,
-                                    const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return dgc::Status::IOError("cannot open " + path);
-  out << "# undirected weighted edge list: u v weight (u < v)\n";
-  const dgc::CsrMatrix& a = g.adjacency();
-  for (dgc::Index u = 0; u < g.NumVertices(); ++u) {
-    auto cols = a.RowCols(u);
-    auto vals = a.RowValues(u);
-    for (size_t i = 0; i < cols.size(); ++i) {
-      if (cols[i] > u) out << u << ' ' << cols[i] << ' ' << vals[i] << '\n';
-    }
-  }
-  if (!out) return dgc::Status::IOError("write failed for " + path);
-  return dgc::Status::OK();
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace dgc;

@@ -13,7 +13,6 @@
 // harness of tests/incremental_diff_test.cc as a field tool.
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -25,23 +24,6 @@
 #include "util/timer.h"
 
 namespace {
-
-dgc::Status WriteUndirectedEdgeList(const dgc::UGraph& g,
-                                    const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return dgc::Status::IOError("cannot open " + path);
-  out << "# undirected weighted edge list: u v weight (u < v)\n";
-  const dgc::CsrMatrix& a = g.adjacency();
-  for (dgc::Index u = 0; u < g.NumVertices(); ++u) {
-    auto cols = a.RowCols(u);
-    auto vals = a.RowValues(u);
-    for (size_t i = 0; i < cols.size(); ++i) {
-      if (cols[i] > u) out << u << ' ' << cols[i] << ' ' << vals[i] << '\n';
-    }
-  }
-  if (!out) return dgc::Status::IOError("write failed for " + path);
-  return dgc::Status::OK();
-}
 
 /// Byte-level equality of two CSR matrices (the incremental correctness
 /// contract is bit-identity, not numeric closeness).
