@@ -36,8 +36,8 @@
 #include <string>
 #include <vector>
 
-#include "bench/bench_common.h"
 #include "bench/hw_probe.h"
+#include "bench/stand_ins.h"
 #include "cluster/mcl.h"
 #include "core/all_pairs.h"
 #include "core/symmetrize.h"

@@ -11,7 +11,8 @@
 //   * per-candidate upper bound: accumulation for a candidate pair stops
 //     contributing once the remaining possible mass cannot lift it to t.
 // On graphs with steep weight skew this prunes most candidate pairs; the
-// ablation benchmark (bench_ablation_allpairs) quantifies the speedup.
+// experiment registry's ablation_allpairs (bench/experiments.cc) times it
+// against the thresholded SpGEMM.
 #pragma once
 
 #include "linalg/csr_matrix.h"

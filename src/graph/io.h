@@ -53,7 +53,8 @@ struct IoLimits {
 Result<Digraph> ReadEdgeList(const std::string& path, Index num_vertices = 0,
                              const IoLimits& limits = {});
 
-/// Writes "src dst weight" lines (weight omitted when uniformly 1).
+/// Writes "src dst weight" lines, always with the weight, after two '#'
+/// header lines.
 Status WriteEdgeList(const Digraph& g, const std::string& path);
 
 /// Writes an undirected graph as "u v weight" lines, each edge once with
